@@ -10,12 +10,9 @@ regressions** of the parallel run against the sequential baseline.  The
 recorded run headers carry both wall times, so the store itself documents
 the parallel speedup.
 
-The parallel run ships its networks to the workers through the flat
-shared-memory path (``transfer="shm"``, see ``docs/batch.md``); a second
-parallel run over the classic pickle path must produce the same
-fingerprints, and the per-circuit serialization stats (flat buffer bytes
-and pack time vs pickle bytes and ``dumps`` time) are recorded alongside.
-A final leg resumes the parallel run's workload (``resume=True`` over the
+Networks cross the process boundary as plain pickles (see
+``docs/batch.md``); the pickled size and ``dumps`` time of the suite
+inputs are recorded alongside.  A final leg resumes the parallel run's workload (``resume=True`` over the
 same store): every circuit must be skipped via its ``ok`` record under
 the shared run key, with fingerprints intact — measuring the fixed cost
 of restarting a finished run.
@@ -36,7 +33,6 @@ from conftest import RESULTS_DIR, SCALE
 from repro.batch import BatchRunner, ResultStore, get_suite, state_fingerprint
 from repro.circuits import build
 from repro.flow import FlowContext, FlowRunner
-from repro.networks.flat import FlatNetwork
 
 SUITE = "epfl-mini"
 FLOW = "b; rf; gm -k 4; b"
@@ -44,20 +40,14 @@ JOBS = 2
 
 
 def _payload_stats(names, scale: str) -> dict:
-    """Serialization cost of shipping the suite inputs: flat vs pickle."""
+    """Serialization cost of shipping the suite inputs as pickles."""
     nets = [build(name, scale) for name in names]
-    t0 = time.perf_counter()
-    snaps = [FlatNetwork.from_network(n) for n in nets]
-    packed = [(s.header(), s.pack()) for s in snaps]
-    t_pack = time.perf_counter() - t0
     t0 = time.perf_counter()
     blobs = [pickle.dumps(n) for n in nets]
     t_dumps = time.perf_counter() - t0
     return {
         "circuits": len(nets),
-        "flat_bytes": sum(len(buf) for _, buf in packed),
         "pickle_bytes": sum(len(b) for b in blobs),
-        "pack_seconds": round(t_pack, 6),
         "pickle_dumps_seconds": round(t_dumps, 6),
     }
 
@@ -75,11 +65,9 @@ def measure(scale: str = SCALE) -> dict:
     seq_fps = {name: state_fingerprint(res.network) for name, res in seq.items()}
     seq_run = store.find_run("latest")
 
-    # the parallel path: 2 workers, per-worker contexts, shared-memory
-    # network transfer
+    # the parallel path: 2 workers, per-worker contexts
     t0 = time.perf_counter()
-    batch = BatchRunner(jobs=JOBS, transfer="shm").run(suite, FLOW,
-                                                       scale=scale, store=store)
+    batch = BatchRunner(jobs=JOBS).run(suite, FLOW, scale=scale, store=store)
     t_par = time.perf_counter() - t0
 
     assert not batch.failures, [o.error for o in batch.failures]
@@ -89,20 +77,11 @@ def measure(scale: str = SCALE) -> dict:
     cmp = store.compare(batch.run_id, seq_run)
     assert cmp.ok, f"regressions vs sequential baseline: {cmp.regressions}"
 
-    # same run over the classic pickle transfer — fingerprints must agree
-    t0 = time.perf_counter()
-    pickled = BatchRunner(jobs=JOBS, transfer="pickle").run(suite, FLOW,
-                                                            scale=scale)
-    t_pickle = time.perf_counter() - t0
-    assert not pickled.failures, [o.error for o in pickled.failures]
-    assert {o.name: o.fingerprint for o in pickled.outcomes} == seq_fps, \
-        "pickle-transfer batch diverged from sequential run_many"
-
     # the resume path: re-running the parallel run's workload must skip
     # every circuit (all ok under the same run key) yet still yield the
     # same fingerprints — the cost of "nothing to do" is the store read
     t0 = time.perf_counter()
-    resumed = BatchRunner(jobs=JOBS, transfer="shm").run(
+    resumed = BatchRunner(jobs=JOBS).run(
         suite, FLOW, scale=scale, store=store, resume=True)
     t_resume = time.perf_counter() - t0
     assert not resumed.failures
@@ -117,12 +96,10 @@ def measure(scale: str = SCALE) -> dict:
         "scale": scale,
         "flow": batch.flow,
         "jobs": JOBS,
-        "transfer": batch.transfer,
         "sequential_run": seq_run.run_id,
         "parallel_run": batch.run_id,
         "sequential_seconds": round(t_seq, 6),
         "parallel_seconds": round(t_par, 6),
-        "pickle_transfer_seconds": round(t_pickle, 6),
         "resume_seconds": round(t_resume, 6),
         "resume_skipped": resume_skipped,
         "speedup": round(t_seq / t_par, 3) if t_par > 0 else 0.0,

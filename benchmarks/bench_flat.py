@@ -7,20 +7,15 @@ Measures, on the largest bundled circuit at the selected scale:
 * bit-parallel simulation through the flat-compiled program vs the
   re-frozen seed simulator of ``_baseline_flat.py`` — outputs must be
   **bit-identical**, speedup must be >= 1;
-* the optional vectorized uint64 block backend (``block=True`` /
-  ``simulate_blocks``), bit-identity asserted when numpy is available;
 * Tseitin encoding straight from the flat arrays vs the re-frozen
   dict-based builder — identical variable numbering, clause list and PO
-  literals, speedup >= 1;
-* zero-copy transfer stats: flat buffer bytes vs ``pickle.dumps`` bytes and
-  the pack/unpack round-trip time vs a pickle round-trip.
+  literals, speedup >= 1.
 
 Results are written to ``benchmarks/results/BENCH_flat.json``.  Run
 standalone (``python benchmarks/bench_flat.py``) or under pytest.
 """
 
 import json
-import pickle
 import random
 import time
 
@@ -34,11 +29,6 @@ from repro.circuits import ALL_BENCHMARKS, build
 from repro.networks.flat import FlatNetwork
 from repro.sat.cnf import CnfBuilder
 from repro.sim import simulate_words
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
 
 #: simulation width in bits (64-bit words per PI)
 SIM_BITS = 1024
@@ -87,11 +77,6 @@ def measure(scale: str = SCALE) -> dict:
     t_sim_base = (time.perf_counter() - t0) / SIM_ROUNDS
     sim_identical = flat_vals == base_vals
 
-    block_identical = None
-    if _np is not None:
-        block_identical = simulate_words(ntk, patterns, mask,
-                                         block=True) == base_vals
-
     # -- Tseitin encoding -------------------------------------------------
     t0 = time.perf_counter()
     flat_cnf = CnfBuilder()
@@ -106,17 +91,6 @@ def measure(scale: str = SCALE) -> dict:
                      and dict(flat_vars) == dict(base_vars)
                      and list(flat_pos) == list(base_pos))
 
-    # -- transfer ---------------------------------------------------------
-    t0 = time.perf_counter()
-    header, buf = snap.header(), snap.pack()
-    rebuilt = FlatNetwork.unpack(header, buf).to_network()
-    t_pack = time.perf_counter() - t0
-    pack_exact = state_fingerprint(rebuilt) == state_fingerprint(ntk)
-    t0 = time.perf_counter()
-    blob = pickle.dumps(ntk)
-    pickle.loads(blob)
-    t_pickle = time.perf_counter() - t0
-
     return {
         "circuit": name,
         "scale": scale,
@@ -130,18 +104,11 @@ def measure(scale: str = SCALE) -> dict:
         "baseline_sim_seconds": round(t_sim_base, 6),
         "sim_speedup": round(t_sim_base / t_sim, 3) if t_sim > 0 else 0.0,
         "sim_bit_identical": sim_identical,
-        "block_backend": _np is not None,
-        "block_bit_identical": block_identical,
         "encode_seconds": round(t_enc, 6),
         "baseline_encode_seconds": round(t_enc_base, 6),
         "encode_speedup": round(t_enc_base / t_enc, 3) if t_enc > 0 else 0.0,
         "encode_identical": enc_identical,
         "clauses": len(flat_cnf.clauses),
-        "flat_bytes": snap.nbytes,
-        "pickle_bytes": len(blob),
-        "pack_round_trip_seconds": round(t_pack, 6),
-        "pickle_round_trip_seconds": round(t_pickle, 6),
-        "pack_exact": pack_exact,
     }
 
 
@@ -164,10 +131,8 @@ def write_json(result: dict) -> None:
 def test_bench_flat(benchmark):
     result = benchmark.pedantic(_measure_with_retry, rounds=1, iterations=1)
     write_json(result)
-    assert result["round_trip_exact"] and result["pack_exact"]
+    assert result["round_trip_exact"]
     assert result["sim_bit_identical"] and result["encode_identical"]
-    if result["block_backend"]:
-        assert result["block_bit_identical"]
     # the flat paths must never lose to the object-walking baselines
     assert result["sim_speedup"] >= 1.0
     assert result["encode_speedup"] >= 1.0

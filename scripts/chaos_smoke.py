@@ -6,14 +6,16 @@ Three episodes, each asserting the exact promised outcome:
 1. **Budgets** — a 2-worker run over ``epfl-mini`` with a memory hog, a
    hard crash and a hang injected, under ``memory_limit`` + ``timeout``
    + ``retries``: exactly one ``oom`` (never retried), the crash retried
-   to ``ok``, the hang ``timeout``, everything else ``ok``; no leaked
-   shared-memory segments; a clean resume finishes the failures' leftovers.
+   to ``ok``, the hang ``timeout``, everything else ``ok``; no worker
+   process outlives the run; a clean resume finishes the failures'
+   leftovers.
 2. **Circuit breaker** — a circuit failing identically across two runs is
    quarantined; the next resumed run skips it (a ``quarantined`` event),
    and ``requarantine`` clears the bench.
 3. **Admission control** — a saturated jobs=1 daemon sheds a submission
    with ``429`` + ``Retry-After`` while a cache hit is still served, and
-   ``GET /readyz`` flips not-ready → ready as the queue drains.
+   ``GET /readyz`` flips not-ready → ready as the queue drains; no worker
+   process outlives the daemon's pool shutdown.
 
 Usage::
 
@@ -22,6 +24,7 @@ Usage::
 Exits non-zero (with a diagnostic) on any violated property.
 """
 
+import multiprocessing
 import sys
 import tempfile
 import time
@@ -41,7 +44,6 @@ from repro.batch import (      # noqa: E402  (path bootstrap above)
 
 SUITE = "epfl-mini"
 FLOW = "b; rf"
-SHM_DIR = Path("/dev/shm")
 
 
 def fail(msg: str) -> None:
@@ -49,17 +51,16 @@ def fail(msg: str) -> None:
     sys.exit(1)
 
 
-def shm_segments() -> set:
-    if not SHM_DIR.is_dir():
-        return set()
-    return {p.name for p in SHM_DIR.glob("psm_*")}
+def assert_no_workers(after: str) -> None:
+    alive = multiprocessing.active_children()
+    if alive:
+        fail(f"worker processes outlived {after}: {alive}")
 
 
 def episode_budgets(workdir: Path) -> None:
     print(f"[1/3] memory budget + crash + hang over {SUITE} "
           "(memory_limit=512M, timeout=20s, retries=1) ...")
     store = ResultStore(workdir / "budget.jsonl")
-    shm_before = shm_segments()
     log = EventLog()
     batch = BatchRunner(
         jobs=2, return_networks=False, memory_limit="512M", timeout=20.0,
@@ -85,9 +86,7 @@ def episode_budgets(workdir: Path) -> None:
     kinds = [e.kind for e in log.events]
     if kinds.count("oom") != 1:
         fail(f"expected exactly one oom event, got {kinds.count('oom')}")
-    leaked = shm_segments() - shm_before
-    if leaked:
-        fail(f"leaked shared-memory segments: {sorted(leaked)}")
+    assert_no_workers("BatchRunner.run")
 
     # the failures leave a resumable prefix: a clean resume completes them
     resumed = BatchRunner(jobs=2, return_networks=False).run(
@@ -100,7 +99,7 @@ def episode_budgets(workdir: Path) -> None:
         fail(f"resume skipped {sorted(skipped)}, expected the three "
              "previously-ok circuits")
     print("      one oom (unretried), crash retried to ok, hang timed out, "
-          "no shm leaks, clean resume")
+          "no surviving workers, clean resume")
 
 
 def episode_breaker(workdir: Path) -> None:
@@ -185,8 +184,9 @@ def episode_admission(workdir: Path) -> None:
         retried = ServeClient(port=daemon.port, retries=4, backoff=0.25)
         job = retried.submit("square", flow=FLOW, scale="tiny")
         retried.wait(job["id"], timeout=60)
+    assert_no_workers("ServePool.shutdown()")   # the daemon's exit ran it
     print("      429 + Retry-After on saturation, cache hit still served, "
-          "readyz flipped not-ready -> ready")
+          "readyz flipped not-ready -> ready, no surviving workers")
 
 
 def main() -> None:

@@ -8,9 +8,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    extras_require={
-        # optional vectorized uint64 simulation backend (repro.sim);
-        # every engine is complete and bit-identical without it
-        "accel": ["numpy"],
-    },
 )

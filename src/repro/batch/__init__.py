@@ -1,19 +1,24 @@
-"""Parallel suite execution: manifests, process-pool runner, result store.
+"""Parallel suite execution: manifests, the supervised pool, result store.
 
 The batch layer turns the one-circuit-at-a-time Flow API into a
-suite-throughput machine, in three pieces:
+suite-throughput machine:
 
 * :mod:`~repro.batch.suite` — :class:`Suite` manifests: named circuit sets
   (the EPFL-analogue evaluation suites, generated word-level families,
   user TOML/JSON manifests);
 * :mod:`~repro.batch.runner` — :class:`BatchRunner`: shards a suite across
-  a *supervised* worker pool (per-worker warm
+  the supervised worker pool (per-worker warm
   :class:`~repro.flow.context.FlowContext`, deterministic result ordering,
   per-circuit wall-time and metric capture) or runs it in-process when
   ``jobs=1``.  Fault tolerant: per-circuit hard timeouts kill (never join)
   hung workers, crashed workers cost exactly one ``crashed`` outcome and
   are replaced, and ``retries`` re-runs transient failures with
   exponential backoff;
+* :mod:`~repro.batch.pool` — :class:`WorkerPool`: the one process
+  supervisor behind ``BatchRunner.run``, ``BatchRunner.map`` and the serve
+  daemon's pool.  Pipe-per-worker processes spawned lazily; pipe EOF,
+  deadlines and RSS over budget become ``crashed`` / ``timeout`` / ``oom``
+  outcomes.  Circuits and results cross it as plain pickles;
 * :mod:`~repro.batch.store` — :class:`ResultStore`: an append-only JSONL
   log of runs, written *incrementally* (one fsynced line per circuit) so
   interrupted runs leave a resumable prefix.  Runs carry a stable
@@ -53,6 +58,7 @@ The CLI fronts this with ``repro suite`` (list/show manifests) and
 from .suite import Suite, SuiteEntry, available_suites, get_suite
 from .runner import (BatchResult, BatchRunner, CircuitOutcome,
                      jittered_backoff, parse_memory_limit, state_fingerprint)
+from .pool import WorkerPool
 from .store import (Comparison, ResultStore, RunInfo, StoreWriteError,
                     failure_signature, git_revision, run_key)
 from .events import EventLog, JsonlEventSink, RunEvent, event_sink, read_events
@@ -69,6 +75,7 @@ __all__ = [
     "state_fingerprint",
     "jittered_backoff",
     "parse_memory_limit",
+    "WorkerPool",
     "ResultStore",
     "RunInfo",
     "Comparison",

@@ -3,9 +3,10 @@
 The runner turns a :class:`~repro.batch.suite.Suite` (or any circuit list)
 plus one flow script into per-circuit jobs and executes them either
 in-process (``jobs=1`` — one shared :class:`~repro.flow.context.FlowContext`,
-exactly the semantics of ``FlowRunner.run_many``) or across a supervised
-pool of worker processes (``jobs>1`` — one *per-worker* warm context, one
-duplex pipe per worker, every circuit pinned to the worker executing it).
+exactly the semantics of ``FlowRunner.run_many``) or across the supervised
+:class:`~repro.batch.pool.WorkerPool` (``jobs>1`` — one *per-worker* warm
+context, one duplex pipe per worker, every circuit pinned to the worker
+executing it, circuits and results crossing the pipe as plain pickles).
 
 Guarantees:
 
@@ -62,8 +63,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Unio
 from ..flow import Flow, FlowContext, FlowRunner, PassMetrics, resolve_flow
 from ..flow.context import state_cost, state_kind, state_summary
 from ..networks.base import LogicNetwork
-from ..networks.flat import FlatNetwork
 from .events import RunEvent
+from .pool import WorkerPool
 from .suite import Suite, SuiteEntry
 
 __all__ = ["BatchRunner", "BatchResult", "CircuitOutcome", "state_fingerprint",
@@ -74,9 +75,6 @@ _FAILURE_STATUSES = ("error", "crashed", "timeout", "oom")
 
 #: outcome statuses recorded into a result store
 _RECORDED_STATUSES = ("ok",) + _FAILURE_STATUSES + ("quarantined",)
-
-#: how often the supervisor samples worker RSS when a memory limit is set
-_MEM_POLL = 0.2
 
 
 def jittered_backoff(base: float, attempt: int, *, cap: float = 60.0,
@@ -132,69 +130,6 @@ def parse_memory_limit(limit: Union[int, float, str, None]) -> Optional[int]:
     return value
 
 
-def _apply_memory_limit(limit_bytes: int) -> bool:
-    """Best-effort ``RLIMIT_AS`` inside a worker process; returns whether
-    the limit took.  False (no ``resource`` module, an unsupported
-    platform, a hard limit below ours) leaves the supervisor's RSS poll
-    as the only enforcement — which is exactly why the poll exists.
-    """
-    try:
-        import resource
-
-        _, hard = resource.getrlimit(resource.RLIMIT_AS)
-        if hard != resource.RLIM_INFINITY and hard < limit_bytes:
-            limit_bytes = hard
-        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, hard))
-        return True
-    except (ImportError, AttributeError, ValueError, OSError):
-        return False
-
-
-_PAGE_SIZE = 4096
-try:
-    _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
-except (AttributeError, ValueError, OSError):
-    pass
-
-
-def _rss_bytes(pid: int) -> Optional[int]:
-    """Resident set size of ``pid`` in bytes via ``/proc`` (None where
-    unavailable — the RSS poll degrades to rlimit-only enforcement)."""
-    try:
-        with open(f"/proc/{pid}/statm", "rb") as fh:
-            return int(fh.read().split()[1]) * _PAGE_SIZE
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-# ---------------------------------------------------------------------- #
-# zero-copy network transfer                                              #
-# ---------------------------------------------------------------------- #
-
-@dataclass
-class _ShmSpec:
-    """A circuit spec published as a shared-memory flat snapshot.
-
-    Only the tiny header pickles into the worker payload; the buffers live
-    in a parent-owned ``multiprocessing.shared_memory`` block that workers
-    attach, copy out of and close (see ``docs/batch.md``).
-    """
-
-    header: dict
-
-
-def _flat_transferable(ntk) -> bool:
-    """Whether a network can cross processes as a flat snapshot.
-
-    Only exact representation classes qualify: a behavioural subclass (or
-    any class the flat header cannot name) would silently come back as a
-    plain network, so those keep object pickling.
-    """
-    from ..networks import Aig, Mig, MixedNetwork, Xag, Xmg
-
-    return type(ntk) in (Aig, Xag, Mig, Xmg, MixedNetwork, LogicNetwork)
-
-
 # ---------------------------------------------------------------------- #
 # structural fingerprints                                                 #
 # ---------------------------------------------------------------------- #
@@ -236,8 +171,6 @@ def _spec_fingerprint(spec, scale: str) -> str:
     structural fingerprint; ``.aag`` paths hash the file; registry names
     are keyed by name + scale (the generators are deterministic).
     """
-    if isinstance(spec, _ShmSpec):
-        return f"shm:{spec.header.get('rep')}:{spec.header.get('n')}"
     if isinstance(spec, SuiteEntry):
         return spec.fingerprint(scale)
     if isinstance(spec, LogicNetwork):
@@ -286,8 +219,7 @@ class CircuitOutcome:
     resumed_from: str = ""              # run id the record was resumed from
     metric_rows: List[tuple] = field(default_factory=list)
     network: Any = None                 # final state (when returned)
-    packed: Any = None                  # (header, payload) flat form in transit
-    result: Any = None                  # FlowResult — in-process runs only
+    result: Any = None                  # in-process FlowResult, or map() value
 
     @property
     def ok(self) -> bool:
@@ -348,7 +280,6 @@ class BatchResult:
     suite: str = ""
     run_id: str = ""                    # set when recorded into a store
     run_key: str = ""                   # stable workload identity
-    transfer: str = ""                  # worker transfer mode ("" = in-process)
 
     @property
     def failures(self) -> List[CircuitOutcome]:
@@ -383,20 +314,8 @@ class BatchResult:
 # worker-side execution                                                   #
 # ---------------------------------------------------------------------- #
 
-_WORKER_CTX: Optional[FlowContext] = None
-
-
-def _init_worker(n_patterns: int, seed: int) -> None:
-    """Pool initializer: one warm FlowContext per worker process."""
-    global _WORKER_CTX
-    _WORKER_CTX = FlowContext(n_patterns=n_patterns, seed=seed)
-
-
 def _build_circuit(spec, scale: str):
-    """Materialize a payload circuit spec (shm header | SuiteEntry | name |
-    network)."""
-    if isinstance(spec, _ShmSpec):
-        return FlatNetwork.from_shared_memory(spec.header).to_network()
+    """Materialize a payload circuit spec (SuiteEntry | name | network)."""
     if isinstance(spec, SuiteEntry):
         return spec.build(scale)
     if isinstance(spec, str):
@@ -406,13 +325,9 @@ def _build_circuit(spec, scale: str):
     return spec                          # an already-built network object
 
 
-def _execute_flow_job(payload: dict, ctx: Optional[FlowContext] = None,
+def _execute_flow_job(payload: dict, ctx: FlowContext,
                       keep_objects: bool = False) -> CircuitOutcome:
     """Run one circuit's flow; never raises — failures become outcomes."""
-    if ctx is None:
-        ctx = _WORKER_CTX
-        if ctx is None:                  # pool without initializer (jobs=1 path)
-            ctx = FlowContext()
     outcome = CircuitOutcome(name=payload["name"], index=payload["index"],
                              worker=os.getpid(),
                              attempts=payload.get("attempt", 1))
@@ -438,13 +353,7 @@ def _execute_flow_job(payload: dict, ctx: Optional[FlowContext] = None,
             (m.name, m.script, m.seconds, tuple(m.before), tuple(m.after),
              m.kind_before, m.kind_after) for m in result.metrics]
         if payload.get("return_network", True):
-            net = result.network
-            if payload.get("pack_return") and isinstance(net, LogicNetwork):
-                # ship the flat buffers home instead of an object-graph pickle
-                snap = net.flat
-                outcome.packed = (snap.header(), snap.pack())
-            else:
-                outcome.network = net
+            outcome.network = result.network
         if keep_objects:
             outcome.result = result
     except MemoryError as exc:           # budget hit: final, not retried
@@ -462,84 +371,19 @@ def _execute_flow_job(payload: dict, ctx: Optional[FlowContext] = None,
     return outcome
 
 
-def _execute_map_job(payload: tuple):
-    """Generic fan-out: run ``fn(task, ctx)`` under the worker context."""
-    index, fn, task = payload
-    ctx = _WORKER_CTX if _WORKER_CTX is not None else FlowContext()
-    return index, fn(task, ctx)
-
-
-def _worker_main(conn, n_patterns: int, seed: int,
-                 memory_limit: Optional[int] = None) -> None:
-    """Supervised pool worker: receive payloads, execute, send outcomes.
-
-    The loop ends on a ``None`` payload (orderly shutdown) or a dead pipe
-    (the supervisor went away).  ``_execute_flow_job`` never raises, so
-    the only ways a worker dies mid-circuit are real crashes — which is
-    exactly what the supervisor's pipe-EOF detection is for.
-
-    ``memory_limit`` (bytes) installs ``RLIMIT_AS`` before the first job:
-    an allocation past the budget raises ``MemoryError`` inside the job
-    and comes home as a clean ``oom`` outcome rather than a dead worker.
-    """
-    if memory_limit is not None:
-        _apply_memory_limit(memory_limit)
-    _init_worker(n_patterns, seed)
-    while True:
-        try:
-            payload = conn.recv()
-        except (EOFError, OSError):
-            break
-        if payload is None:
-            break
-        outcome = _execute_flow_job(payload)
-        try:
-            conn.send(outcome)
-        except (BrokenPipeError, OSError):
-            break
-    conn.close()
-
-
-class _PoolWorker:
-    """Supervisor-side handle of one worker process."""
-
-    __slots__ = ("proc", "conn", "payload", "started")
-
-    def __init__(self, proc, conn):
-        self.proc = proc
-        self.conn = conn
-        self.payload: Optional[dict] = None   # the in-flight job, if any
-        self.started: float = 0.0             # monotonic dispatch time
-
-
-def spawn_pool_worker(n_patterns: int = 256, seed: int = 1,
-                      memory_limit: Optional[int] = None) -> _PoolWorker:
-    """Spawn one supervised pool worker: a daemon process running
-    :func:`_worker_main` with a warm :class:`FlowContext`, attached to the
-    supervisor by one duplex pipe.  Shared by :class:`BatchRunner` and the
-    serve daemon's persistent pool.  ``memory_limit`` (bytes) caps the
-    worker's address space via ``RLIMIT_AS``."""
-    import multiprocessing as mp
-
-    parent_conn, child_conn = mp.Pipe()
-    proc = mp.Process(target=_worker_main,
-                      args=(child_conn, n_patterns, seed, memory_limit),
-                      daemon=True)
-    proc.start()
-    child_conn.close()
-    return _PoolWorker(proc, parent_conn)
-
-
-def kill_pool_worker(worker: _PoolWorker) -> None:
-    """Close the pipe and SIGKILL (never join an alive process first) one
-    pool worker — the hard-timeout path: a hung worker cannot be joined."""
+def _execute_map_job(payload: dict, ctx: FlowContext) -> CircuitOutcome:
+    """Generic fan-out: ``fn(task, ctx)``; the value (or the exception it
+    raised) rides home in ``outcome.result``."""
+    outcome = CircuitOutcome(name=payload["name"], index=payload["index"],
+                             worker=os.getpid())
     try:
-        worker.conn.close()
-    except OSError:
-        pass
-    if worker.proc.is_alive():
-        worker.proc.kill()
-    worker.proc.join(5)
+        outcome.result = payload["fn"](payload["task"], ctx)
+    except Exception as exc:
+        outcome.status = "error"
+        outcome.error = f"{type(exc).__name__}: {exc}"
+        outcome.traceback = _traceback.format_exc()
+        outcome.result = exc
+    return outcome
 
 
 # ---------------------------------------------------------------------- #
@@ -550,8 +394,10 @@ class BatchRunner:
     """Execute flows (or arbitrary per-task functions) over circuit sets.
 
     ``jobs=1`` runs in-process against ``context`` (or a fresh one);
-    ``jobs>1`` shards across a supervised worker pool with one warm
-    per-worker context.  ``progress`` is an optional
+    ``jobs>1`` shards across a supervised
+    :class:`~repro.batch.pool.WorkerPool` with one warm per-worker
+    context; networks cross the process boundary as plain pickles.
+    ``progress`` is an optional
     ``callable(done, total, outcome)`` invoked as results arrive
     (completion order, not suite order); ``events`` is an optional sink
     receiving :class:`~repro.batch.events.RunEvent` transitions.
@@ -583,17 +429,14 @@ class BatchRunner:
 
     ``order="largest"`` dispatches biggest circuits first to bound the
     straggler tail (results still return in suite order); ``"suite"``
-    keeps manifest order.  ``transfer`` picks how networks cross the
-    process boundary (``"shm"`` flat shared-memory snapshots, ``"pickle"``
-    object graphs, ``"auto"`` shm for network objects / in-worker builds
-    for named specs) — all three are bit-identical.  ``faults`` installs a
+    keeps manifest order.  ``faults`` installs a
     :class:`~repro.batch.faults.FaultPlan` (chaos testing).
     """
 
     def __init__(self, *, jobs: int = 1, context: Optional[FlowContext] = None,
                  progress: Optional[Callable] = None, verify: bool = False,
                  checkpoint: bool = False, n_patterns: int = 256, seed: int = 1,
-                 return_networks: bool = True, transfer: str = "auto",
+                 return_networks: bool = True,
                  timeout: Optional[float] = None, retries: int = 0,
                  backoff: float = 0.5, order: str = "suite",
                  events: Optional[Callable] = None, faults=None,
@@ -602,8 +445,6 @@ class BatchRunner:
                  quarantine_after: int = 2):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if transfer not in ("auto", "shm", "pickle"):
-            raise ValueError(f"transfer must be auto|shm|pickle, got {transfer!r}")
         if order not in ("suite", "largest"):
             raise ValueError(f"order must be suite|largest, got {order!r}")
         if timeout is not None and timeout <= 0:
@@ -624,7 +465,6 @@ class BatchRunner:
         self.n_patterns = n_patterns
         self.seed = seed
         self.return_networks = return_networks
-        self.transfer = transfer
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -749,27 +589,15 @@ class BatchRunner:
             payloads = self._order_largest(payloads)
 
         claims = (store, key) if cooperate else None
-        pooled = self.jobs > 1 and len(payloads) > 1
-        shm_blocks: List = []
-        try:
-            if not pooled:
-                self._run_sequential(payloads, finalize, claims)
-            else:
-                self._publish_shm(payloads, shm_blocks)
-                self._run_pool(payloads, finalize, claims)
-        finally:
-            for shm in shm_blocks:   # parent owns every block's lifetime
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:
-                    pass
+        if self.jobs > 1 and len(payloads) > 1:
+            self._run_pool(payloads, finalize, claims)
+        else:
+            self._run_sequential(payloads, finalize, claims)
         wall = time.perf_counter() - t0
         result = BatchResult(flow=flow_text, scale=scale, jobs=self.jobs,
                              outcomes=[outcomes[i] for i in sorted(outcomes)],
                              wall_seconds=wall, suite=suite_name,
-                             run_id=run_id, run_key=key,
-                             transfer=self.transfer if pooled else "")
+                             run_id=run_id, run_key=key)
         if store is not None:
             try:
                 store.close_run(run_id, wall_seconds=wall,
@@ -799,8 +627,7 @@ class BatchRunner:
                              "attempt": 1,
                              "verify": self.verify,
                              "checkpoint": self.checkpoint,
-                             "return_network": self.return_networks,
-                             "pack_return": self.transfer != "pickle"})
+                             "return_network": self.return_networks})
             if self.faults is not None:
                 payloads[-1]["faults"] = self.faults.to_payload()
         return payloads
@@ -808,64 +635,22 @@ class BatchRunner:
     def _order_largest(self, payloads: List[dict]) -> List[dict]:
         """Dispatch order: biggest inputs first, ties in suite order.
 
-        Sizes come from the spec when it already is a network (or a shm
-        header); named/manifest specs are built once here — and, when the
-        transfer mode allows it, the built network replaces the spec so
-        the build is not repeated in the worker.
+        Sizes come from the spec when it already is a network; named and
+        manifest specs are built once here, and the built network replaces
+        the spec so the worker does not repeat the build.
         """
         sized = []
         for p in payloads:
             spec = p["spec"]
-            if isinstance(spec, _ShmSpec):
-                size = spec.header.get("n", 0)
-            elif isinstance(spec, LogicNetwork):
-                size = spec.num_gates()
-            else:
+            if not isinstance(spec, LogicNetwork):
                 try:
-                    ntk = _build_circuit(spec, p["scale"])
+                    spec = p["spec"] = _build_circuit(spec, p["scale"])
                 except Exception:
-                    size = -1            # the worker will report the real error
-                else:
-                    size = ntk.num_gates()
-                    if self.transfer != "pickle":
-                        p["spec"] = ntk  # reuse the build (lifted to shm next)
-            sized.append((size, p))
+                    sized.append((-1, p))    # the worker reports the error
+                    continue
+            sized.append((spec.num_gates(), p))
         sized.sort(key=lambda t: (-t[0], t[1]["index"]))
         return [p for _, p in sized]
-
-    def _publish_shm(self, payloads: List[dict], blocks: List) -> None:
-        """Lift payload specs into shared-memory flat snapshots.
-
-        Created blocks are appended to the *caller's* ``blocks`` list as
-        they are made, so the caller's ``finally`` unlinks every block
-        even when a later publish raises mid-loop (the historical leak
-        window).  The caller closes + unlinks them once the pool is done;
-        workers only ever attach/copy/close.  In ``"auto"`` mode only
-        already-built network objects are lifted — a name or
-        :class:`SuiteEntry` pickles smaller than its circuit, so those
-        still build in the worker.  In ``"shm"`` mode every spec is built
-        in the parent and published; a spec that fails to build (or is not
-        a plain logic network) falls back to its pickled form.
-        """
-        if self.transfer == "pickle":
-            return
-        for p in payloads:
-            spec = p["spec"]
-            if isinstance(spec, LogicNetwork) and _flat_transferable(spec):
-                ntk = spec
-            elif self.transfer == "shm" and not isinstance(spec, LogicNetwork):
-                try:
-                    built = _build_circuit(spec, p["scale"])
-                except Exception:
-                    continue             # worker will report the real error
-                if not _flat_transferable(built):
-                    continue
-                ntk = built
-            else:
-                continue
-            shm, header = ntk.flat.to_shared_memory()
-            blocks.append(shm)
-            p["spec"] = _ShmSpec(header)
 
     # -- event / claim plumbing ----------------------------------------------
 
@@ -970,8 +755,25 @@ class BatchRunner:
                           f"resumed runs will skip this circuit until "
                           f"requarantine")
 
-    def _backoff_delay(self, attempt: int) -> float:
-        return jittered_backoff(self.backoff, attempt)
+    def _settle(self, payload: dict, outcome: CircuitOutcome,
+                finalize) -> Optional[tuple]:
+        """Finalize one attempt's outcome, or return ``(delay, payload)``
+        for the next attempt of an ``error``/``crashed`` circuit with
+        retries left.  ``oom`` and ``timeout`` are final: a circuit over
+        its budget or past its deadline would be again."""
+        attempt = payload.get("attempt", 1)
+        why = (outcome.error or "").split("\n", 1)[0]
+        if outcome.status in ("error", "crashed") and attempt <= self.retries:
+            delay = jittered_backoff(self.backoff, attempt)
+            self._emit("retried", outcome,
+                       detail=f"{outcome.status}: {why} — retrying in "
+                              f"{delay:.2f}s")
+            return delay, dict(payload, attempt=attempt + 1)
+        kind = outcome.status if outcome.status in (
+            "crashed", "timeout", "oom") else "finished"
+        self._emit(kind, outcome, detail=why)
+        finalize(outcome)
+        return None
 
     # -- in-process execution ------------------------------------------------
 
@@ -981,224 +783,52 @@ class BatchRunner:
             if yielded is not None:
                 finalize(yielded)
                 continue
-            while True:
+            retry = (0.0, payload)
+            while retry is not None:
+                delay, payload = retry
+                time.sleep(delay)
                 self._emit("started", payload=payload, worker=os.getpid())
-                outcome = _execute_flow_job(payload, ctx=self.ctx,
+                outcome = _execute_flow_job(payload, self.ctx,
                                             keep_objects=True)
-                if outcome.status == "error" and payload["attempt"] <= self.retries:
-                    delay = self._backoff_delay(payload["attempt"])
-                    self._emit("retried", outcome,
-                               detail=f"{outcome.error.splitlines()[0]} — "
-                                      f"retrying in {delay:.2f}s")
-                    time.sleep(delay)
-                    payload = dict(payload, attempt=payload["attempt"] + 1)
-                    continue
-                break
-            self._emit("oom" if outcome.status == "oom" else "finished",
-                       outcome)
-            finalize(outcome)
+                retry = self._settle(payload, outcome, finalize)
 
     # -- supervised worker pool ----------------------------------------------
 
-    def _spawn_worker(self) -> _PoolWorker:
-        return spawn_pool_worker(self.n_patterns, self.seed,
-                                 self.memory_limit)
-
-    def _replace_worker(self, workers: List[_PoolWorker], worker: _PoolWorker) -> None:
-        kill_pool_worker(worker)
-        workers[workers.index(worker)] = self._spawn_worker()
-
-    def _shutdown_workers(self, workers: List[_PoolWorker]) -> None:
-        for w in workers:
-            try:
-                w.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for w in workers:
-            w.proc.join(1.0)
-            if w.proc.is_alive():
-                w.proc.kill()
-                w.proc.join(5)
-            try:
-                w.conn.close()
-            except OSError:
-                pass
-
-    def _finish_outcome(self, outcome: CircuitOutcome) -> CircuitOutcome:
-        """Rebuild packed result networks shipped home as flat buffers."""
-        if outcome.packed is not None:
-            header, buf = outcome.packed
-            outcome.network = FlatNetwork.unpack(header, buf).to_network()
-            outcome.packed = None
-        return outcome
-
     def _run_pool(self, payloads: List[dict], finalize, claims) -> None:
-        """The supervisor loop: dispatch, collect, kill, retry, replace.
-
-        Every circuit is pinned to the worker executing it (one duplex
-        pipe per worker), so worker death is attributed to exactly one
-        circuit, hung workers can be killed without touching their
-        siblings, and nothing a dead worker leaves behind can poison the
-        rest of the run.
-        """
-        from multiprocessing.connection import wait as _conn_wait
-
+        """Drive a :class:`~repro.batch.pool.WorkerPool`: dispatch in
+        order, settle outcomes as they arrive, hold retries for their
+        backoff.  The pool pins every circuit to the worker executing it,
+        so a crash, kill or memory overrun costs exactly that circuit."""
         queue = deque(payloads)
         delayed: List[tuple] = []        # (ready_at, payload) retry backoffs
-        workers = [self._spawn_worker()
-                   for _ in range(min(self.jobs, len(payloads)))]
-
-        def retry_or(final_kind: str, outcome: CircuitOutcome,
-                     payload: dict, now: float) -> None:
-            """Requeue a failed attempt, or finalize it as ``final_kind``."""
-            if payload["attempt"] <= self.retries:
-                delay = self._backoff_delay(payload["attempt"])
-                self._emit("retried", outcome,
-                           detail=f"{outcome.status}: "
-                                  f"{(outcome.error or '?').splitlines()[0]}"
-                                  f" — retrying in {delay:.2f}s")
-                delayed.append((now + delay,
-                                dict(payload, attempt=payload["attempt"] + 1)))
-                return
-            self._emit(final_kind, outcome)
-            finalize(outcome)
-
+        pool = WorkerPool(min(self.jobs, len(payloads)),
+                          n_patterns=self.n_patterns, seed=self.seed,
+                          memory_limit=self.memory_limit)
         try:
             while True:
                 now = time.monotonic()
-                # promote ripe retry backoffs to the front of the queue
-                if delayed:
-                    ripe = [p for t, p in delayed if t <= now]
-                    delayed = [(t, p) for t, p in delayed if t > now]
-                    for p in ripe:
-                        queue.appendleft(p)
-                # dispatch work to idle workers
-                for w in workers:
-                    if w.payload is not None:
-                        continue
-                    payload = None
-                    while queue:
-                        payload = queue.popleft()
-                        yielded = self._claim_or_yield(claims, payload)
-                        if yielded is None:
-                            break
+                queue.extendleft(p for t, p in delayed if t <= now)
+                delayed = [(t, p) for t, p in delayed if t > now]
+                while queue and pool.ready:
+                    payload = queue.popleft()
+                    yielded = self._claim_or_yield(claims, payload)
+                    if yielded is not None:
                         finalize(yielded)
-                        payload = None
-                    if payload is None:
                         continue
-                    try:
-                        w.conn.send(payload)
-                    except (BrokenPipeError, OSError):
-                        # the worker died while idle: requeue, replace
-                        queue.appendleft(payload)
-                        self._replace_worker(workers, w)
-                        continue
-                    w.payload = payload
-                    w.started = time.monotonic()
-                    self._emit("started", payload=payload, worker=w.proc.pid)
-                busy = [w for w in workers if w.payload is not None]
-                if not busy:
-                    if delayed:
-                        wake = min(t for t, _ in delayed)
-                        time.sleep(max(0.0, wake - time.monotonic()))
-                        continue
-                    if queue:
-                        continue         # claims drained mid-dispatch
+                    pid = pool.submit(payload, timeout=self.timeout)
+                    self._emit("started", payload=payload, worker=pid)
+                if not pool.busy and not delayed:
                     break
-                # sleep until a result, the next deadline, or the next retry
-                wake = None
-                if self.timeout is not None:
-                    wake = min(w.started + self.timeout for w in busy)
+                wait = None
                 if delayed:
-                    ripe_at = min(t for t, _ in delayed)
-                    wake = ripe_at if wake is None else min(wake, ripe_at)
-                tick = (None if wake is None
-                        else max(0.0, wake - time.monotonic()))
-                if self.memory_limit is not None:
-                    # wake often enough for the RSS poll to matter
-                    tick = _MEM_POLL if tick is None else min(tick, _MEM_POLL)
-                ready = _conn_wait([w.conn for w in busy], timeout=tick)
-                now = time.monotonic()
-                for conn in ready:
-                    w = next(x for x in workers if x.conn is conn)
-                    payload, started = w.payload, w.started
-                    if payload is None:
-                        continue
-                    try:
-                        outcome = conn.recv()
-                    except (EOFError, OSError):
-                        # the worker died mid-circuit: exactly this circuit
-                        # is the casualty — nothing else is requeued
-                        pid = w.proc.pid
-                        w.payload = None
-                        self._replace_worker(workers, w)
-                        outcome = CircuitOutcome(
-                            name=payload["name"], index=payload["index"],
-                            status="crashed", seconds=now - started,
-                            worker=pid or 0,
-                            attempts=payload.get("attempt", 1),
-                            error=f"worker {pid} died mid-circuit")
-                        retry_or("crashed", outcome, payload, now)
-                        continue
-                    w.payload = None
-                    outcome.attempts = payload.get("attempt", 1)
-                    self._finish_outcome(outcome)
-                    if outcome.status == "error":
-                        retry_or("finished", outcome, payload, now)
-                        continue
-                    # "oom" is deliberately NOT retried: a circuit over its
-                    # budget will be over it again — final, like timeout
-                    self._emit("oom" if outcome.status == "oom"
-                               else "finished", outcome)
-                    finalize(outcome)
-                # hard per-circuit timeouts: kill, never join
-                if self.timeout is not None:
-                    now = time.monotonic()
-                    for w in list(workers):
-                        if w.payload is None or now - w.started < self.timeout:
-                            continue
-                        payload, elapsed = w.payload, now - w.started
-                        pid = w.proc.pid
-                        w.payload = None
-                        self._replace_worker(workers, w)
-                        outcome = CircuitOutcome(
-                            name=payload["name"], index=payload["index"],
-                            status="timeout", seconds=elapsed,
-                            worker=pid or 0,
-                            attempts=payload.get("attempt", 1),
-                            error=f"killed after exceeding the "
-                                  f"{self.timeout}s circuit timeout")
-                        self._emit("timeout", outcome)
-                        finalize(outcome)
-                # RSS poll: the supervisor-side backstop for workers the
-                # rlimit cannot protect (platforms without RLIMIT_AS, or
-                # growth in mappings the limit does not cover)
-                if self.memory_limit is not None:
-                    now = time.monotonic()
-                    for w in list(workers):
-                        if w.payload is None:
-                            continue
-                        rss = _rss_bytes(w.proc.pid)
-                        if rss is None or rss <= self.memory_limit:
-                            continue
-                        payload, elapsed = w.payload, now - w.started
-                        pid = w.proc.pid
-                        w.payload = None
-                        self._replace_worker(workers, w)
-                        outcome = CircuitOutcome(
-                            name=payload["name"], index=payload["index"],
-                            status="oom", seconds=elapsed,
-                            worker=pid or 0,
-                            attempts=payload.get("attempt", 1),
-                            error=f"killed: worker RSS {rss // (1024 * 1024)}"
-                                  f"MiB exceeded the "
-                                  f"{self.memory_limit // (1024 * 1024)}MiB "
-                                  f"memory budget")
-                        self._emit("oom", outcome,
-                                   detail="supervisor RSS poll")
-                        finalize(outcome)
+                    wait = max(0.0, min(t for t, _ in delayed)
+                               - time.monotonic())
+                for payload, outcome in pool.step(wait):
+                    retry = self._settle(payload, outcome, finalize)
+                    if retry is not None:
+                        delayed.append((time.monotonic() + retry[0], retry[1]))
         finally:
-            self._shutdown_workers(workers)
+            pool.close()
 
     # -- generic fan-out (the experiments drivers) ---------------------------
 
@@ -1206,23 +836,33 @@ class BatchRunner:
         """Apply ``fn(task, ctx)`` to every task, in order.
 
         ``fn`` must be a module-level callable (picklable by reference) and
-        each task picklable.  With ``jobs=1`` every call shares this
-        runner's context; with ``jobs>1`` tasks shard across a process pool
-        and run under per-worker contexts.  Unlike :meth:`run`, exceptions
-        propagate — callers wanting isolation use :meth:`run`.
+        each task and result picklable.  With ``jobs=1`` every call shares
+        this runner's context; with ``jobs>1`` tasks shard across a
+        :class:`~repro.batch.pool.WorkerPool` and run under per-worker
+        contexts.  Unlike :meth:`run`, exceptions propagate — callers
+        wanting isolation use :meth:`run`.
         """
         tasks = list(tasks)
         if self.jobs == 1 or len(tasks) <= 1:
             return [fn(task, self.ctx) for task in tasks]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(tasks)),
-                initializer=_init_worker,
-                initargs=(self.n_patterns, self.seed)) as pool:
-            indexed = pool.map(_execute_map_job,
-                               [(i, fn, t) for i, t in enumerate(tasks)])
-            results = {i: r for i, r in indexed}
+        queue = deque({"index": i, "name": f"task{i}", "fn": fn, "task": t}
+                      for i, t in enumerate(tasks))
+        results: Dict[int, Any] = {}
+        pool = WorkerPool(min(self.jobs, len(tasks)), handler=_execute_map_job,
+                          n_patterns=self.n_patterns, seed=self.seed)
+        try:
+            while queue or pool.busy:
+                while queue and pool.ready:
+                    pool.submit(queue.popleft())
+                for payload, outcome in pool.step():
+                    if isinstance(outcome.result, BaseException):
+                        raise outcome.result
+                    if not outcome.ok:
+                        raise RuntimeError(f"map task {payload['index']} "
+                                           f"{outcome.status}: {outcome.error}")
+                    results[payload["index"]] = outcome.result
+        finally:
+            pool.close()
         return [results[i] for i in range(len(tasks))]
 
     # -- interop with the flow API -------------------------------------------

@@ -197,7 +197,7 @@ def cmd_batch(args) -> int:
     try:
         runner = BatchRunner(jobs=args.jobs, verify=args.verify,
                              progress=progress if not args.quiet else None,
-                             return_networks=False, transfer=args.transfer,
+                             return_networks=False,
                              timeout=args.timeout, retries=args.retries,
                              order=args.order, events=events,
                              memory_limit=args.memory_limit)
@@ -434,10 +434,6 @@ def make_parser() -> argparse.ArgumentParser:
                         "diff against; exits 1 on regressions")
     p.add_argument("--verify", action="store_true",
                    help="CEC every circuit's result against its input")
-    p.add_argument("--transfer", default="auto",
-                   choices=("auto", "shm", "pickle"),
-                   help="how circuits reach pool workers: shared-memory flat "
-                        "buffers, object pickles, or auto (default)")
     p.add_argument("--timeout", type=float, default=None,
                    help="hard per-circuit wall-clock limit in seconds; a "
                         "worker past it is killed (pool runs only)")

@@ -131,7 +131,7 @@ class LogicNetwork:
         """The flat struct-of-arrays snapshot of this network.
 
         Memoized per structural version: hot consumers (cut enumeration,
-        Tseitin encoding, shared-memory transfer, structural hashing) of an
+        Tseitin encoding, structural hashing) of an
         unchanged network share one :class:`~repro.networks.flat.FlatNetwork`
         core.  Treat the snapshot as read-only.
         """

@@ -2,8 +2,7 @@
 
 A :class:`FlatNetwork` is an immutable snapshot of a
 :class:`~repro.networks.base.LogicNetwork` stored as contiguous parallel
-buffers (stdlib :mod:`array` — C-contiguous, buffer-protocol compatible, so
-numpy views come for free where numpy is available):
+buffers (stdlib :mod:`array`):
 
 * ``kind``  — one byte per node (:class:`~repro.networks.base.GateType`);
 * ``fanin`` — three literals per node, zero-padded (arity is implied by the
@@ -12,14 +11,13 @@ numpy views come for free where numpy is available):
 * ``pis`` / ``pos`` — CI node indices and PO literals;
 * ``ros`` / ``ris`` / ``rinit`` — register outputs (node indices, a subset of
   ``pis``), the paired next-state literals and the 0/1 initial values, so
-  sequential networks survive pack/shm transport and hashing unchanged.
+  sequential networks survive snapshotting and hashing unchanged.
 
 The flat core is what the hot consumers iterate: cut enumeration reads the
 kind/fanin arrays directly, Tseitin encoding emits clauses straight from
-them, the simulation engine batches gates from the same data, and the batch
-layer ships the buffers to worker processes through
-``multiprocessing.shared_memory`` — a tiny picklable header plus one
-contiguous payload instead of an object-graph pickle.
+them, and the simulation engine batches gates from the same data.  The
+snapshot is an in-process read path only: networks cross process
+boundaries as plain pickles.
 
 Snapshots are exact: :meth:`to_network` restores a structurally identical
 ``LogicNetwork`` (same node numbering, levels, names, strash table), so
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .base import GateType, LogicNetwork
 
@@ -56,21 +54,6 @@ def _rep_class(name: str) -> type:
         "Aig": Aig, "Xag": Xag, "Mig": Mig, "Xmg": Xmg,
         "MixedNetwork": MixedNetwork, "LogicNetwork": LogicNetwork,
     }.get(name, MixedNetwork)
-
-
-def _attach_shm(name: str):
-    """Attach an existing shared-memory block without tracker registration.
-
-    Python 3.13 grew a ``track`` parameter (and tracks attaches by default,
-    which would make the resource tracker of a worker fight the owning
-    process over unlinking); earlier versions never track attaches.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        return shared_memory.SharedMemory(name=name)
 
 
 class FlatNetwork:
@@ -188,14 +171,6 @@ class FlatNetwork:
         gate_min = _GATE_MIN
         return sum(1 for k in self.kind if k >= gate_min)
 
-    @property
-    def nbytes(self) -> int:
-        """Total payload size of :meth:`pack` in bytes."""
-        n = len(self.kind)
-        r = len(self.ros)
-        return (n + 8 * n + 24 * n + 8 * len(self.pis) + 8 * len(self.pos)
-                + 16 * r + r)
-
     def fanin_slots(self, node: int) -> Tuple[int, ...]:
         """The node's fanin literals (arity implied by its kind)."""
         base = 3 * node
@@ -213,8 +188,7 @@ class FlatNetwork:
         the derived levels.  Two networks with equal hashes have identical
         node numbering, so solver/simulation state computed against one is
         valid for the other.  (Byte order is the platform's: hashes are
-        stable within one machine, which is all the snapshot caches and
-        shared-memory transfer need.)
+        stable within one machine, which is all the snapshot caches need.)
         """
         h = self._hash
         if h is None:
@@ -231,113 +205,6 @@ class FlatNetwork:
             m.update(self.rinit.tobytes())
             h = self._hash = m.hexdigest()[:16]
         return h
-
-    # ------------------------------------------------------------------ #
-    # serialization: one contiguous payload + a tiny header               #
-    # ------------------------------------------------------------------ #
-
-    def pack(self) -> bytes:
-        """The buffers as one contiguous payload (decode with :meth:`unpack`)."""
-        return b"".join((self.kind.tobytes(), self.level.tobytes(),
-                         self.fanin.tobytes(), self.pis.tobytes(),
-                         self.pos.tobytes(), self.ros.tobytes(),
-                         self.ris.tobytes(), self.rinit.tobytes()))
-
-    def header(self) -> dict:
-        """The tiny picklable header describing a :meth:`pack` payload."""
-        return {
-            "rep": self.rep,
-            "n": len(self.kind),
-            "n_pis": len(self.pis),
-            "n_pos": len(self.pos),
-            "n_regs": len(self.ros),
-            "nbytes": self.nbytes,
-            "pi_names": self.pi_names,
-            "po_names": self.po_names,
-        }
-
-    @classmethod
-    def unpack(cls, header: dict, payload) -> "FlatNetwork":
-        """Rebuild a snapshot from :meth:`header` + :meth:`pack` output.
-
-        ``payload`` is any buffer (bytes, memoryview, shared-memory view);
-        the arrays copy out of it, so the buffer can be released afterwards.
-        """
-        n, p, q = header["n"], header["n_pis"], header["n_pos"]
-        r = header.get("n_regs", 0)
-        mv = memoryview(payload)
-        if len(mv) < header["nbytes"]:
-            raise ValueError("flat-network payload shorter than its header claims")
-        off = 0
-
-        def take(typecode: str, count: int, width: int) -> array:
-            nonlocal off
-            arr = array(typecode)
-            arr.frombytes(mv[off:off + count * width])
-            off += count * width
-            return arr
-
-        kind = take("B", n, 1)
-        level = take("q", n, 8)
-        fanin = take("q", 3 * n, 8)
-        pis = take("q", p, 8)
-        pos = take("q", q, 8)
-        ros = take("q", r, 8)
-        ris = take("q", r, 8)
-        rinit = take("B", r, 1)
-        return cls(header["rep"], kind, level, fanin, pis, pos,
-                   tuple(header["pi_names"]), tuple(header["po_names"]),
-                   ros, ris, rinit)
-
-    # ------------------------------------------------------------------ #
-    # shared-memory transfer                                              #
-    # ------------------------------------------------------------------ #
-
-    def to_shared_memory(self):
-        """Publish the packed buffers into a new shared-memory block.
-
-        Returns ``(shm, header)``: the owning :class:`SharedMemory` handle
-        (the caller is responsible for ``close()`` + ``unlink()`` once every
-        consumer is done) and a picklable header whose ``shm_name`` lets any
-        process on this machine rebuild the network with
-        :meth:`from_shared_memory` — no pickling of the network itself.
-        """
-        from multiprocessing import shared_memory
-
-        payload = self.pack()
-        # an auto-generated name can still collide with a block leaked by a
-        # killed process; regenerate rather than fail the whole batch
-        for _ in range(8):
-            try:
-                shm = shared_memory.SharedMemory(create=True,
-                                                 size=max(len(payload), 1))
-                break
-            except FileExistsError as exc:
-                import warnings
-
-                warnings.warn(f"shared-memory name collision with a leaked "
-                              f"block ({exc}); retrying with a fresh name")
-        else:
-            raise RuntimeError(
-                "could not allocate a shared-memory block: every generated "
-                "name collided with an existing (leaked?) block")
-        shm.buf[:len(payload)] = payload
-        header = self.header()
-        header["shm_name"] = shm.name
-        return shm, header
-
-    @classmethod
-    def from_shared_memory(cls, header: dict) -> "FlatNetwork":
-        """Rebuild a snapshot from a shared-memory header (attach → copy → close).
-
-        The arrays are copied out of the block, so the attachment is closed
-        before returning; the block's owner keeps control of its lifetime.
-        """
-        shm = _attach_shm(header["shm_name"])
-        try:
-            return cls.unpack(header, shm.buf)
-        finally:
-            shm.close()
 
     # ------------------------------------------------------------------ #
 

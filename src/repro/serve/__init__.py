@@ -9,9 +9,10 @@ is paid once, not per invocation:
   ``GET /stats``, ``GET /healthz``, ``GET /readyz``, ``POST /shutdown``),
   with admission control (``--max-queued`` → 429 + ``Retry-After``) and
   per-worker memory budgets (``--memory-limit``);
-* :mod:`~repro.serve.pool` — :class:`ServePool`: a persistent supervised
-  worker pool (the PR 7 kill-never-join machinery, kept warm across
-  requests, scaled to zero after ``--idle-timeout``);
+* :mod:`~repro.serve.pool` — :class:`ServePool`: a persistent job queue
+  over the batch layer's supervised :class:`~repro.batch.pool.WorkerPool`
+  (kill-never-join timeouts, crash and memory-budget detection), kept warm
+  across requests and scaled to zero after ``--idle-timeout``;
 * :mod:`~repro.serve.cache` — :class:`ResultCache` keyed by
   :func:`cache_key` (structural fingerprint of the input ×
   canonical flow script), persisted as ``kind: "cache"`` lines in the

@@ -1,16 +1,15 @@
 """ServePool — the daemon's persistent supervised worker pool.
 
-The batch layer's pool (PR 7) lives exactly as long as one
-``BatchRunner.run`` call; a daemon needs the opposite: workers that stay
-warm *across* requests, scale **up on demand and down to zero when idle**,
-and execute one job at a time with per-job hard timeouts.  This module is
-that pool, built on the same worker primitives
-(:func:`~repro.batch.runner.spawn_pool_worker` /
-:func:`~repro.batch.runner.kill_pool_worker`, the
-``_worker_main``/``_execute_flow_job`` loop and its payload shape), so a
-job runs byte-for-byte the way a batch circuit does — same warm
-per-worker :class:`~repro.flow.context.FlowContext`, same failure
-isolation, same SIGKILL path for hung workers.
+A ``BatchRunner.run`` pool lives exactly as long as one call; a daemon
+needs the opposite: workers that stay warm *across* requests, scale **up
+on demand and down to zero when idle**, and execute one job at a time with
+per-job hard timeouts.  This module adds that life cycle — a job queue, a
+supervisor thread, a wake pipe, idle reaping, stats and per-job hooks — on
+top of the same :class:`~repro.batch.pool.WorkerPool` the batch runner
+drives, so a job runs byte-for-byte the way a batch circuit does: same
+payload shape, same warm per-worker
+:class:`~repro.flow.context.FlowContext`, same failure isolation, same
+SIGKILL path for hung workers.
 
 Life cycle guarantees:
 
@@ -38,19 +37,10 @@ import threading
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, Optional
 
-from ..batch.events import RunEvent
-from ..batch.runner import (
-    CircuitOutcome,
-    _PoolWorker,
-    _rss_bytes,
-    _MEM_POLL,
-    kill_pool_worker,
-    parse_memory_limit,
-    spawn_pool_worker,
-)
+from ..batch import CircuitOutcome, RunEvent, WorkerPool, parse_memory_limit
 
 __all__ = ["ServePool"]
 
@@ -63,7 +53,6 @@ class _Job:
     on_event: Optional[Callable] = None      # called with RunEvent
     on_done: Optional[Callable] = None       # called with CircuitOutcome
     timeout: Optional[float] = None          # hard wall-clock limit
-    queued_at: float = field(default_factory=time.monotonic)
 
 
 class ServePool:
@@ -91,14 +80,14 @@ class ServePool:
         if idle_timeout is not None and idle_timeout < 0:
             raise ValueError(f"idle_timeout must be >= 0, got {idle_timeout}")
         self.max_workers = jobs
-        self.n_patterns = n_patterns
-        self.seed = seed
         self.timeout = timeout
         self.idle_timeout = idle_timeout
         self.events = events
         self.memory_limit = parse_memory_limit(memory_limit)
+        self._pool = WorkerPool(jobs, n_patterns=n_patterns, seed=seed,
+                                memory_limit=self.memory_limit)
         self._queue: Deque[_Job] = deque()
-        self._workers: List[_PoolWorker] = []   # supervisor thread only
+        self._running: Dict[int, _Job] = {}     # id(payload) -> job
         self._lock = threading.Lock()
         self._idle = threading.Event()
         self._idle.set()
@@ -106,9 +95,10 @@ class ServePool:
         self._idle_since = time.monotonic()
         self._stats: Dict[str, int] = {
             "dispatched": 0, "completed": 0, "failed": 0, "crashed": 0,
-            "timeouts": 0, "ooms": 0, "spawned": 0, "reaped": 0,
+            "timeouts": 0, "ooms": 0, "reaped": 0,
         }
         self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
         self._wake_closed = False
         self._thread = threading.Thread(target=self._supervise,
@@ -141,10 +131,13 @@ class ServePool:
         """Counters plus live pool state (worker/busy/queue depth)."""
         with self._lock:
             out = dict(self._stats)
-            out["workers"] = len(self._workers)
-            out["busy"] = sum(1 for w in self._workers
-                              if w.payload is not None)
-            out["queue_depth"] = len(self._queue)
+            out["spawned"] = self._pool.spawned
+            out["workers"] = self._pool.size
+            out["busy"] = self._pool.busy
+            # jobs waiting for a worker: a job the supervisor thread has
+            # not popped yet while a slot is free is not backlog
+            out["queue_depth"] = max(
+                0, len(self._queue) - (self.max_workers - self._pool.busy))
             out["max_workers"] = self.max_workers
         return out
 
@@ -206,164 +199,52 @@ class ServePool:
             except Exception as exc:
                 warnings.warn(f"serve pool event hook failed on {kind!r}: {exc}")
 
-    def _finish(self, job: _Job, outcome: CircuitOutcome, kind: str) -> None:
+    def _finish(self, job: _Job, outcome: CircuitOutcome) -> None:
+        status = outcome.status
         with self._lock:
             self._stats["completed"] += 1
-            if outcome.status != "ok":
+            if status != "ok":
                 self._stats["failed"] += 1
-            if outcome.status == "oom":
-                self._stats["ooms"] += 1
-        self._emit(job, kind, outcome=outcome)
+            counter = {"crashed": "crashed", "timeout": "timeouts",
+                       "oom": "ooms"}.get(status)
+            if counter:
+                self._stats[counter] += 1
+        self._emit(job, status if counter else "finished", outcome=outcome)
         if job.on_done is not None:
             try:
                 job.on_done(outcome)
             except Exception as exc:
                 warnings.warn(f"serve pool completion hook failed: {exc}")
 
-    def _drop_worker(self, worker: _PoolWorker) -> None:
-        kill_pool_worker(worker)
-        with self._lock:
-            self._workers.remove(worker)
-
     def _dispatch(self) -> None:
-        """Hand queued jobs to idle workers, spawning up to the cap."""
-        while True:
+        """Hand queued jobs to the pool while it has a free worker slot."""
+        while self._pool.ready:
             with self._lock:
                 if not self._queue:
                     return
-                idle = [w for w in self._workers if w.payload is None]
-                can_spawn = len(self._workers) < self.max_workers
-                if not idle and not can_spawn:
-                    return
                 job = self._queue.popleft()
-            if idle:
-                worker = idle[0]
-            else:
-                worker = spawn_pool_worker(self.n_patterns, self.seed,
-                                           self.memory_limit)
-                with self._lock:
-                    self._workers.append(worker)
-                    self._stats["spawned"] += 1
-            try:
-                worker.conn.send(job.payload)
-            except (BrokenPipeError, OSError):
-                # worker died while idle: drop it and retry the job
-                self._drop_worker(worker)
-                with self._lock:
-                    self._queue.appendleft(job)
-                continue
-            worker.payload = job
-            worker.started = time.monotonic()
+            pid = self._pool.submit(job.payload, timeout=job.timeout)
+            self._running[id(job.payload)] = job
             with self._lock:
                 self._stats["dispatched"] += 1
-            self._emit(job, "started", worker=worker.proc.pid or 0)
-
-    def _collect(self, ready) -> None:
-        """Pull outcomes (or detect deaths) off ready worker pipes."""
-        with self._lock:
-            by_conn = {w.conn: w for w in self._workers}
-        for conn in ready:
-            worker = by_conn.get(conn)
-            if worker is None or worker.payload is None:
-                continue
-            job: _Job = worker.payload
-            started = worker.started
-            try:
-                outcome = conn.recv()
-            except (EOFError, OSError):
-                pid = worker.proc.pid
-                worker.payload = None
-                self._drop_worker(worker)
-                with self._lock:
-                    self._stats["crashed"] += 1
-                outcome = CircuitOutcome(
-                    name=job.payload["name"], index=job.payload["index"],
-                    status="crashed", seconds=time.monotonic() - started,
-                    worker=pid or 0,
-                    error=f"worker {pid} died mid-job")
-                self._finish(job, outcome, "crashed")
-                continue
-            worker.payload = None
-            self._finish(job, outcome,
-                         "oom" if outcome.status == "oom" else "finished")
-
-    def _check_memory(self) -> None:
-        """SIGKILL workers whose RSS exceeds the memory budget.
-
-        The supervisor-side backstop behind the in-worker ``RLIMIT_AS``
-        (see :class:`~repro.batch.runner.BatchRunner`): a worker the
-        rlimit cannot protect is killed here and its job becomes an
-        ``oom`` outcome — queued jobs are unaffected.
-        """
-        if self.memory_limit is None:
-            return
-        now = time.monotonic()
-        with self._lock:
-            candidates = [w for w in self._workers if w.payload is not None]
-        for worker in candidates:
-            rss = _rss_bytes(worker.proc.pid)
-            if rss is None or rss <= self.memory_limit:
-                continue
-            job: _Job = worker.payload
-            if job is None:              # finished while we were polling
-                continue
-            elapsed = now - worker.started
-            pid = worker.proc.pid
-            worker.payload = None
-            self._drop_worker(worker)
-            outcome = CircuitOutcome(
-                name=job.payload["name"], index=job.payload["index"],
-                status="oom", seconds=elapsed, worker=pid or 0,
-                error=f"killed: worker RSS {rss // (1024 * 1024)}MiB "
-                      f"exceeded the "
-                      f"{self.memory_limit // (1024 * 1024)}MiB memory "
-                      f"budget")
-            self._finish(job, outcome, "oom")
-
-    def _expire(self) -> None:
-        """SIGKILL workers whose job exceeded its hard timeout."""
-        now = time.monotonic()
-        with self._lock:
-            expired = [w for w in self._workers
-                       if w.payload is not None
-                       and w.payload.timeout is not None
-                       and now - w.started >= w.payload.timeout]
-        for worker in expired:
-            job: _Job = worker.payload
-            elapsed = now - worker.started
-            pid = worker.proc.pid
-            worker.payload = None
-            self._drop_worker(worker)
-            with self._lock:
-                self._stats["timeouts"] += 1
-            outcome = CircuitOutcome(
-                name=job.payload["name"], index=job.payload["index"],
-                status="timeout", seconds=elapsed, worker=pid or 0,
-                error=f"killed after exceeding the {job.timeout}s job timeout")
-            self._finish(job, outcome, "timeout")
+            self._emit(job, "started", worker=pid)
 
     def _reap_idle(self) -> None:
         """Scale the pool to zero once it has been idle long enough."""
         with self._lock:
-            if (self.idle_timeout is None or self._queue
-                    or any(w.payload is not None for w in self._workers)
-                    or not self._workers
+            if (self.idle_timeout is None or self._queue or self._pool.busy
+                    or not self._pool.size
                     or time.monotonic() - self._idle_since < self.idle_timeout):
                 return
-            victims = list(self._workers)
-        for worker in victims:
-            self._drop_worker(worker)
-            with self._lock:
-                self._stats["reaped"] += 1
+            self._stats["reaped"] += self._pool.size
+        self._pool.close()
 
     def _supervise(self) -> None:
-        from multiprocessing.connection import wait as _conn_wait
-
         while True:
             self._dispatch()
             with self._lock:
                 stop = self._stop
-                busy = [w for w in self._workers if w.payload is not None]
+                busy = self._pool.busy
                 queued = bool(self._queue)
                 if not busy and not queued:
                     self._idle.set()
@@ -373,42 +254,30 @@ class ServePool:
                 break
             # sleep until a result, a timeout deadline, the idle-reap
             # deadline, or a wake byte from submit()/shutdown()
-            deadlines = [w.started + w.payload.timeout for w in busy
-                         if w.payload.timeout is not None]
+            wait = None
             if (self.idle_timeout is not None and not busy and not queued
-                    and self._workers):
-                deadlines.append(self._idle_since + self.idle_timeout)
-            tick = None
-            if deadlines:
-                tick = max(0.0, min(deadlines) - time.monotonic())
-            if self.memory_limit is not None and busy:
-                # wake often enough for the RSS poll to matter
-                tick = _MEM_POLL if tick is None else min(tick, _MEM_POLL)
-            ready = _conn_wait([w.conn for w in busy] + [self._wake_r],
-                               timeout=tick)
-            if self._wake_r in ready:
-                try:
-                    os.read(self._wake_r, 4096)
-                except OSError:
-                    pass
-                ready = [r for r in ready if r is not self._wake_r]
-            self._collect(ready)
-            self._expire()
-            self._check_memory()
+                    and self._pool.size):
+                wait = max(0.0, self._idle_since + self.idle_timeout
+                           - time.monotonic())
+            for payload, outcome in self._pool.step(
+                    wait, extra_fds=[self._wake_r]):
+                self._finish(self._running.pop(id(payload)), outcome)
+            try:
+                os.read(self._wake_r, 4096)
+            except OSError:
+                pass
             self._reap_idle()
         # orderly stop: kill whatever is left (drain happened in shutdown)
+        self._pool.close()
+        self._running.clear()
         with self._lock:
-            victims = list(self._workers)
-            self._workers.clear()
             abandoned = list(self._queue)
             self._queue.clear()
-        for worker in victims:
-            kill_pool_worker(worker)
         for job in abandoned:
             outcome = CircuitOutcome(
                 name=job.payload["name"], index=job.payload["index"],
                 status="error", error="pool shut down before dispatch")
-            self._finish(job, outcome, "finished")
+            self._finish(job, outcome)
         self._idle.set()
         with self._lock:
             self._wake_closed = True

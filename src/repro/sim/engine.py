@@ -30,13 +30,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..networks.base import GateType
 
-try:                                    # numpy accelerates wide simulations;
-    import numpy as _np                 # the integer path below is complete
-except ImportError:                     # without it (results are identical)
-    _np = None
-
-__all__ = ["PatternPool", "SimEngine", "simulate_words", "simulate_blocks",
-           "sim_stats", "reset_sim_stats"]
+__all__ = ["PatternPool", "SimEngine", "simulate_words", "sim_stats",
+           "reset_sim_stats"]
 
 #: flat gate kinds are plain ints ordered (CONST, PI, AND, XOR, MAJ, XOR3),
 #: so a program opcode is just ``kind - _GATE_MIN``
@@ -45,7 +40,7 @@ _XOR = int(GateType.XOR)
 
 _STAT_KEYS = (
     "programs_built", "program_nodes", "full_sims", "pattern_incr_sims",
-    "node_incr_sims", "oneshot_sims", "block_sims", "patterns_added",
+    "node_incr_sims", "oneshot_sims", "patterns_added",
     "cex_recycled",
 )
 
@@ -113,8 +108,7 @@ class _Program:
     re-simulation.
     """
 
-    __slots__ = ("levels", "flat", "flat_nodes", "built_nodes",
-                 "_block_levels", "_block_built")
+    __slots__ = ("levels", "flat", "flat_nodes", "built_nodes")
 
     def __init__(self):
         self.levels: List[tuple] = []
@@ -122,9 +116,6 @@ class _Program:
         #: node id per flat entry (ascending) — for dirty-suffix lookups
         self.flat_nodes: List[int] = []
         self.built_nodes = 0
-        #: per-level numpy index arrays for the uint64 block path (lazy)
-        self._block_levels = None
-        self._block_built = 0
 
     def extend(self, ntk) -> None:
         """Append program entries for nodes created since the last build.
@@ -226,97 +217,6 @@ class _Program:
                 else:
                     vals[n] = vals[a] ^ vals[b] ^ vals[c]
 
-    # -- vectorized uint64 block execution ---------------------------------
-
-    def block_program(self):
-        """Per-level numpy index/complement arrays (rebuilt after extends).
-
-        Each level yields four optional entries (AND, XOR, MAJ, XOR3):
-        column-index arrays into the ``(nodes, words)`` value matrix plus
-        0/1 complement columns shaped for broadcasting against the mask
-        words, so one level executes as a handful of whole-array ops.
-        """
-        if self._block_built == self.built_nodes and self._block_levels is not None:
-            return self._block_levels
-        out = []
-        for ands, xors, majs, xor3s in self.levels:
-            lv = []
-            for op, entries in enumerate((ands, xors, majs, xor3s)):
-                if not entries:
-                    lv.append(None)
-                    continue
-                arr = _np.asarray(entries, dtype=_np.int64)
-                n, a, ac, b, bc = (arr[:, j] for j in range(5))
-                if op < 2:
-                    if op == 0:       # AND: rows whose fanin is complemented
-                        lv.append((n, a, b,
-                                   _np.flatnonzero(ac), _np.flatnonzero(bc)))
-                    else:             # XOR: rows with odd parity
-                        lv.append((n, a, b, _np.flatnonzero(ac ^ bc)))
-                else:
-                    c, cc = arr[:, 5], arr[:, 6]
-                    if op == 2:       # MAJ
-                        lv.append((n, a, b, c, _np.flatnonzero(ac),
-                                   _np.flatnonzero(bc), _np.flatnonzero(cc)))
-                    else:             # XOR3: rows with odd parity
-                        lv.append((n, a, b, c,
-                                   _np.flatnonzero(ac ^ bc ^ cc)))
-            out.append(lv)
-        self._block_levels = out
-        self._block_built = self.built_nodes
-        return out
-
-    def run_block(self, vals, mask_words) -> None:
-        """Evaluate all gates on a ``(nodes, words)`` uint64 value matrix.
-
-        ``mask_words`` is the valid-bits mask as little-endian uint64 words;
-        complements are applied by XOR-ing the mask into the pre-indexed
-        complemented rows, which matches the integer path bit for bit.
-        """
-        for ands, xors, majs, xor3s in self.block_program():
-            if ands is not None:
-                n, a, b, ai, bi = ands
-                x = vals[a]
-                if ai.size:
-                    x[ai] ^= mask_words
-                y = vals[b]
-                if bi.size:
-                    y[bi] ^= mask_words
-                x &= y
-                vals[n] = x
-            if xors is not None:
-                n, a, b, pi = xors
-                x = vals[a]
-                x ^= vals[b]
-                if pi.size:
-                    x[pi] ^= mask_words
-                vals[n] = x
-            if majs is not None:
-                n, a, b, c, ai, bi, ci = majs
-                x = vals[a]
-                if ai.size:
-                    x[ai] ^= mask_words
-                y = vals[b]
-                if bi.size:
-                    y[bi] ^= mask_words
-                z = vals[c]
-                if ci.size:
-                    z[ci] ^= mask_words
-                t = x & y
-                x &= z
-                t |= x
-                y &= z
-                t |= y
-                vals[n] = t
-            if xor3s is not None:
-                n, a, b, c, pi = xor3s
-                x = vals[a]
-                x ^= vals[b]
-                x ^= vals[c]
-                if pi.size:
-                    x[pi] ^= mask_words
-                vals[n] = x
-
     def run_suffix(self, vals: List[int], mask: int, start_index: int) -> None:
         """Evaluate only the gates at flat positions >= ``start_index``.
 
@@ -374,93 +274,23 @@ def _program_for(ntk) -> _Program:
     return prog
 
 
-def _run_block_full(prog: _Program, ntk, pi_words: Sequence[int],
-                    mask: int) -> List[int]:
-    """Full simulation through the numpy block path; returns packed ints.
-
-    The value matrix is ``(nodes, words)`` little-endian uint64; PI rows are
-    exploded from the packed stimulus ints and the result rows are packed
-    back, so callers see exactly the integer-path output.
-    """
-    n_words = (mask.bit_length() + 63) // 64 or 1
-    nbytes = n_words * 8
-    vals = _np.zeros((ntk.num_nodes(), n_words), dtype="<u8")
-    pis = ntk._pis
-    if pis:
-        pi_buf = b"".join((pi_words[i] & mask).to_bytes(nbytes, "little")
-                          for i in range(len(pis)))
-        vals[pis] = _np.frombuffer(pi_buf, dtype="<u8").reshape(len(pis), n_words)
-    mask_words = _np.frombuffer(mask.to_bytes(nbytes, "little"), dtype="<u8")
-    prog.run_block(vals, mask_words)
-    mv = memoryview(vals.tobytes())
-    _GLOBAL_STATS["block_sims"] += 1
-    return [int.from_bytes(mv[i * nbytes:(i + 1) * nbytes], "little")
-            for i in range(vals.shape[0])]
-
-
-def simulate_words(ntk, pi_patterns: Sequence[int], mask: int, *,
-                   block: bool = False) -> List[int]:
+def simulate_words(ntk, pi_patterns: Sequence[int], mask: int) -> List[int]:
     """One-shot bit-parallel simulation; returns one packed word per node.
 
     This is the engine behind
     :meth:`repro.networks.base.LogicNetwork.simulate_patterns`; the compiled
     program is cached per network, so repeated one-shot calls only pay for
     the word-parallel gate ops.
-
-    ``block=True`` routes through the vectorized uint64 numpy backend
-    (bit-identical output).  It is opt-in because for packed-int callers the
-    integer program is the faster default on CPython — big-int bitwise ops
-    already run as C loops over the whole word, and the numpy detour adds an
-    int↔uint64 conversion per node.  Callers whose stimulus already lives in
-    numpy should use :func:`simulate_blocks` instead, which skips the
-    conversions entirely.
     """
     pis = ntk._pis
     if len(pi_patterns) != len(pis):
         raise ValueError("pattern count must equal PI count")
     prog = _program_for(ntk)
     _GLOBAL_STATS["oneshot_sims"] += 1
-    if block and _np is not None:
-        return _run_block_full(prog, ntk, pi_patterns, mask)
     vals = [0] * ntk.num_nodes()
     for i, n in enumerate(pis):
         vals[n] = pi_patterns[i] & mask
     prog.run(vals, mask)
-    return vals
-
-
-def simulate_blocks(ntk, pi_blocks, mask_words=None):
-    """Bit-parallel simulation on uint64 blocks, numpy-native end to end.
-
-    ``pi_blocks`` is a ``(num_pis, words)`` array-like of little-endian
-    uint64 stimulus words (row ``i`` drives PI ``i``; bit ``j`` of the
-    flattened row is pattern ``j``); ``mask_words`` optionally masks the
-    valid bits (default: all bits valid).  Returns the full ``(nodes,
-    words)`` value matrix — bit-identical to packing the rows into ints and
-    calling :func:`simulate_words`.
-
-    This is the entry point for bulk workloads that keep stimulus and
-    signatures in numpy: it runs the per-level uint64 block program with no
-    int↔array conversion on either side.  Requires numpy.
-    """
-    if _np is None:
-        raise RuntimeError("simulate_blocks requires numpy")
-    pi_blocks = _np.ascontiguousarray(pi_blocks, dtype="<u8")
-    pis = ntk._pis
-    if pi_blocks.ndim != 2 or pi_blocks.shape[0] != len(pis):
-        raise ValueError("pi_blocks must be shaped (num_pis, words)")
-    n_words = pi_blocks.shape[1]
-    if mask_words is None:
-        mask_words = _np.full(n_words, 0xFFFFFFFFFFFFFFFF, dtype="<u8")
-    else:
-        mask_words = _np.ascontiguousarray(mask_words, dtype="<u8")
-        pi_blocks = pi_blocks & mask_words
-    prog = _program_for(ntk)
-    vals = _np.zeros((ntk.num_nodes(), n_words), dtype="<u8")
-    if pis:
-        vals[pis] = pi_blocks
-    prog.run_block(vals, mask_words)
-    _GLOBAL_STATS["block_sims"] += 1
     return vals
 
 

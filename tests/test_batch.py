@@ -122,28 +122,39 @@ class TestBatchRunner:
         assert all(o.worker for o in par.outcomes)
 
     @pytest.mark.skipif(not _FORK, reason="process-pool test needs fork")
-    def test_parallel_shm_transfer_bit_identical(self):
-        """The shared-memory path reproduces the sequential run exactly."""
-        seq = BatchRunner(jobs=1).run(MINI, FLOW, scale="tiny")
-        shm = BatchRunner(jobs=2, transfer="shm").run(MINI, FLOW, scale="tiny")
-        assert shm.transfer == "shm"
-        assert [(o.name, o.cost, o.fingerprint) for o in shm.outcomes] == \
-               [(o.name, o.cost, o.fingerprint) for o in seq.outcomes]
-        # result networks ride back as flat buffers, rebuilt in the parent
-        assert all(o.network is not None for o in shm.outcomes)
-        assert all(o.packed is None for o in shm.outcomes)
+    def test_parallel_pickle_round_trip(self):
+        """Network objects of every representation (and a sequential one)
+        cross to the workers and back as pickles: each result comes home
+        with the type, structure and fingerprint of the in-process run."""
+        from repro.networks import Mig, MixedNetwork, Xag, Xmg, convert
+
+        base = build("dec", "tiny")
+        ntks = [base] + [convert(base, cls)
+                         for cls in (Xag, Mig, Xmg, MixedNetwork)]
+        ntks.append(get_suite("seq-mini").entries[0].build("tiny"))
+        flow = "seq-sweep; seq-retime"     # accepts both kinds of network
+        seq = BatchRunner(jobs=1).run(ntks, flow, scale="tiny")
+        par = BatchRunner(jobs=2).run(ntks, flow, scale="tiny")
+        assert all(o.ok for o in par.outcomes)
+
+        def shape(o):
+            return (type(o.network), o.network.flat.structural_hash(),
+                    o.fingerprint)
+
+        assert [shape(o) for o in par.outcomes] == \
+               [shape(o) for o in seq.outcomes]
+        assert {type(o.network) for o in par.outcomes} == \
+               {Aig, Xag, Mig, Xmg, MixedNetwork}
+        assert par.outcomes[-1].network.num_registers() > 0
 
     @pytest.mark.skipif(not _FORK, reason="process-pool test needs fork")
     def test_parallel_pickle_transfer_still_works(self):
-        pick = BatchRunner(jobs=2, transfer="pickle").run(MINI, FLOW,
-                                                          scale="tiny")
-        auto = BatchRunner(jobs=2).run(MINI, FLOW, scale="tiny")
-        assert [(o.name, o.cost, o.fingerprint) for o in pick.outcomes] == \
-               [(o.name, o.cost, o.fingerprint) for o in auto.outcomes]
-
-    def test_transfer_mode_validated(self):
-        with pytest.raises(ValueError):
-            BatchRunner(transfer="carrier-pigeon")
+        """Result networks pickled back from the workers rebuild in the
+        parent with the fingerprint the worker reported."""
+        par = BatchRunner(jobs=2).run(MINI, FLOW, scale="tiny")
+        assert all(o.ok and o.network is not None for o in par.outcomes)
+        assert [state_fingerprint(o.network) for o in par.outcomes] == \
+               [o.fingerprint for o in par.outcomes]
 
     def test_network_objects_and_dedup(self):
         ntk = build("dec", "tiny")

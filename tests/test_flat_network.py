@@ -6,17 +6,17 @@ Property coverage for the flat network snapshot layer:
   network — same types, fanins, levels, PI/PO lists and names — across every
   builtin benchmark suite and randomized networks of every representation
   (including constant-driven and dangling POs);
-* ``pack``/``unpack`` and the shared-memory transport reproduce the snapshot
-  bit for bit;
+* a network pickle (how networks cross process boundaries) restores the
+  same graph and snapshot bit for bit;
 * ``structural_hash`` keys content: equal for structurally identical
   networks in different objects, different after any structural change;
 * the flat-compiled consumers agree with the object walk: Tseitin encoding
-  accepts either a network or its snapshot with identical CNF, the
-  vectorized simulation backends are bit-identical to the integer path, and
+  accepts either a network or its snapshot with identical CNF, and
   :class:`FlowContext` shares one equivalence session between hash-equal
   network objects.
 """
 
+import pickle
 import random
 
 import pytest
@@ -30,12 +30,6 @@ from repro.networks import Aig, Mig, MixedNetwork, Xag, Xmg
 from repro.networks.flat import FlatNetwork
 from repro.sat import cec
 from repro.sat.cnf import CnfBuilder
-from repro.sim import simulate_words
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    np = None
 
 
 REPS = (Aig, Xag, Mig, Xmg, MixedNetwork)
@@ -108,24 +102,15 @@ class TestRoundTrip:
         ntk.create_po(ntk.create_and(2, 4))
         assert ntk.flat is not snap               # mutation invalidates
 
-    def test_pack_unpack_round_trip(self):
-        ntk = random_network(Xmg, 5)
+    @pytest.mark.parametrize("cls", [Aig, Xag, Mig, Xmg, MixedNetwork],
+                             ids=lambda cls: cls.__name__)
+    def test_pickle_round_trip(self, cls):
+        ntk = random_network(cls, 23)
         snap = ntk.flat
-        back = FlatNetwork.unpack(snap.header(), snap.pack())
-        assert back == snap
-        assert_graph_identical(ntk, back.to_network())
-
-    def test_shared_memory_round_trip(self):
-        ntk = random_network(MixedNetwork, 23)
-        snap = ntk.flat
-        shm, header = snap.to_shared_memory()
-        try:
-            back = FlatNetwork.from_shared_memory(header)
-            assert back == snap
-            assert_graph_identical(ntk, back.to_network())
-        finally:
-            shm.close()
-            shm.unlink()
+        back = pickle.loads(pickle.dumps(ntk))
+        assert type(back) is cls
+        assert back.flat == snap
+        assert_graph_identical(ntk, back)
 
 
 class TestStructuralHash:
@@ -163,27 +148,6 @@ class TestFlatConsumers:
         assert ba.num_vars == bb.num_vars
         assert ba.clauses == bb.clauses
         assert dict(va) == dict(vb) and list(pa) == list(pb)
-
-    @pytest.mark.skipif(np is None, reason="numpy not available")
-    def test_block_simulation_bit_identical(self):
-        from repro.sim import simulate_blocks
-
-        ntk = random_network(Xmg, 41, n_pis=6, n_gates=40)
-        rng = random.Random(1)
-        bits = 256
-        mask = (1 << bits) - 1
-        pats = [rng.getrandbits(bits) for _ in range(ntk.num_pis())]
-        ref = simulate_words(ntk, pats, mask)
-        assert simulate_words(ntk, pats, mask, block=True) == ref
-
-        words = bits // 64
-        blocks = np.array(
-            [[(p >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(words)]
-             for p in pats], dtype="<u8")
-        vals = simulate_blocks(ntk, blocks)
-        packed = [int.from_bytes(vals[n].tobytes(), "little")
-                  for n in range(ntk.num_nodes())]
-        assert packed == ref
 
     def test_context_shares_session_between_hash_equal_objects(self):
         ctx = FlowContext()

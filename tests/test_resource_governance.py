@@ -184,9 +184,9 @@ class TestMemoryBudgets:
         """With in-worker rlimits unavailable, the supervisor's RSS poll
         still enforces the budget (fork start method: the monkeypatched
         no-op is inherited by the child)."""
-        import repro.batch.runner as runner_mod
+        import repro.batch.pool as pool_mod
 
-        monkeypatch.setattr(runner_mod, "_apply_memory_limit",
+        monkeypatch.setattr(pool_mod, "_apply_memory_limit",
                             lambda limit: False)
         log = []
         batch = BatchRunner(
