@@ -8,7 +8,11 @@ Measures, on the largest bundled circuit at the selected scale:
   ``_baseline_flat.py`` (seed object-cut enumerator, eager truth tables) —
   the speedup between the two is the flat-core headline number
   (target: >= 3x), and the two cut sets must be **bit-identical**;
-* one full ``lut_map`` run (enumeration + all covering passes).
+* one full ``lut_map`` run (enumeration + all covering passes);
+* a scale leg on a seeded windowed random AIG (20k gates; 2k at ``tiny``
+  scale, since the traced build runs ~40x slower): enumeration seconds of
+  a plain build and the ``tracemalloc`` peak of a traced one.  Peak bytes
+  per cut should not grow with the network.
 
 Results are written to ``benchmarks/results/BENCH_cuts.json`` so successive
 revisions can be compared.
@@ -17,13 +21,16 @@ Run standalone (``python benchmarks/bench_cuts.py``) or under pytest.
 """
 
 import json
+import random
 import time
+import tracemalloc
 
 import pytest
 
 from conftest import RESULTS_DIR, SCALE
 
 from _baseline_flat import baseline_enumerate_cuts
+from repro import Aig
 from repro.circuits import ALL_BENCHMARKS, build
 from repro.cuts import expand_cache_stats
 from repro.cuts.database import CutDatabase
@@ -31,6 +38,7 @@ from repro.mapping import lut_map
 
 K = 6
 CUT_LIMIT = 8
+SCALE_GATES = 2000 if SCALE == "tiny" else 20000
 
 
 def largest_circuit(scale: str):
@@ -89,12 +97,61 @@ def measure(scale: str = SCALE) -> dict:
     }
 
 
+def windowed_aig(n_gates: int, seed: int = 1, n_pis: int = 64, window: int = 64) -> Aig:
+    """Seeded random AIG whose gates draw both fanins, with random
+    complements, from the last ``window`` nodes: deep and local, the shape
+    of a long datapath.  Gates nobody reads become POs."""
+    rng = random.Random(seed)
+    aig = Aig()
+    recent = [aig.create_pi() for _ in range(n_pis)]
+    while len(recent) < n_pis + n_gates:
+        lo = max(0, len(recent) - window)
+        a = recent[rng.randrange(lo, len(recent))] ^ rng.getrandbits(1)
+        b = recent[rng.randrange(lo, len(recent))] ^ rng.getrandbits(1)
+        g = aig.create_and(a, b)
+        if g >> 1 > recent[-1] >> 1:     # a new node, not a strash hit
+            recent.append(g & ~1)
+    read = {f >> 1 for node in aig.gates() for f in aig.fanins(node)}
+    for node in aig.gates():
+        if node not in read:
+            aig.create_po(node << 1)
+    return aig
+
+
+def measure_scale(n_gates: int = SCALE_GATES) -> dict:
+    ntk = windowed_aig(n_gates)
+
+    t0 = time.perf_counter()
+    db = CutDatabase(ntk, k=K, cut_limit=CUT_LIMIT)
+    t_enum = time.perf_counter() - t0
+
+    tracemalloc.start()
+    try:
+        CutDatabase(ntk, k=K, cut_limit=CUT_LIMIT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    n_nodes = ntk.num_nodes()
+    return {
+        "network": "windowed_aig(seed=1, n_pis=64, window=64)",
+        "gates": n_gates,
+        "nodes": n_nodes,
+        "cuts": db.num_cuts(),
+        "enum_seconds": round(t_enum, 6),
+        "enum_nodes_per_sec": round(n_nodes / t_enum, 1),
+        "tracemalloc_peak_mb": round(peak / 2**20, 3),
+        "peak_bytes_per_cut": round(peak / db.num_cuts(), 1),
+    }
+
+
 def _measure_with_retry() -> dict:
     """One timing retry absorbs scheduler noise on shared CI runners; the
     real margin is well above the 3x threshold."""
     result = measure()
     if result["enum_speedup"] < 3.0:
         result = measure()
+    result["scale_leg"] = measure_scale()
     return result
 
 
@@ -116,6 +173,7 @@ def test_bench_cuts(benchmark):
     # the flat database must reproduce the frozen enumerator exactly, fast
     assert result["cuts_bit_identical"]
     assert result["enum_speedup"] >= 3.0
+    assert result["scale_leg"]["cuts"] > result["scale_leg"]["gates"]
 
 
 if __name__ == "__main__":

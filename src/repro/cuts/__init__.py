@@ -1,7 +1,7 @@
 """k-feasible cut enumeration with cut functions."""
 
 from .cut import Cut
-from .database import CutDatabase, leaf_signature
+from .database import CutDatabase
 from .enumeration import (
     clear_expand_cache,
     enumerate_cuts,
@@ -13,7 +13,6 @@ from .enumeration import (
 __all__ = [
     "Cut",
     "CutDatabase",
-    "leaf_signature",
     "enumerate_cuts",
     "expand_tt",
     "expand_cache_stats",

@@ -1,20 +1,21 @@
-"""Flat, signature-indexed priority-cut database.
+"""Flat priority-cut database with local-mask merging.
 
 One :class:`CutDatabase` holds every cut of a network in parallel flat
-arrays — interned leaf tuples, 64-bit leaf signatures, truth tables as raw
-ints — computed once and shared by all mapper passes and consumers (LUT
-mapper, ASIC Boolean matcher, graph mapper, MCH candidate generation).
+arrays — interned leaf tuples and truth tables as raw ints — computed once
+and shared by all mapper passes and consumers (LUT mapper, ASIC Boolean
+matcher, graph mapper, MCH candidate generation).
 
 Compared to the original per-mapper enumeration this builder is lazy and
-signature-driven:
+mask-driven:
 
 * merged leaf sets are deduplicated and dominance-filtered **before** any
   truth table is computed, so cut functions are evaluated only for the at
   most ``cut_limit - 1`` cuts that survive per node;
-* dominance (is one cut's leaf set a subset of another's?) is pre-rejected
-  with 64-bit Bloom-style leaf signatures — ``sig(a) & ~sig(b) != 0`` proves
-  non-subset in one integer op, so the exact subset test runs only on the
-  rare signature hits;
+* each node's merge runs on *local* leaf masks: the leaves of all its fanin
+  cuts (at most ``fanins * cut_limit * k`` nodes) get dense bit positions
+  in ascending node order, so union, k-bound, dedupe and the exact subset
+  test are single int ops on masks only as wide as that merge needs,
+  however large the network is;
 * leaf tuples are interned, so equal leaf sets across nodes share one object
   and the database's memory stays proportional to the number of *distinct*
   leaf sets.
@@ -32,33 +33,26 @@ from ..truth.truth_table import TruthTable
 from .cut import Cut
 from .enumeration import _expand_bits
 
-__all__ = ["CutDatabase", "leaf_signature"]
+__all__ = ["CutDatabase"]
 
 _VAR1_BITS = 2  # TruthTable.var(1, 0).bits — the single-variable projection
 
-# gate kinds as plain ints (the flat core stores kinds as bytes; comparing
-# against ints keeps IntEnum overhead out of the enumeration loop)
-def _mask_leaves(mask: int) -> Tuple[int, ...]:
-    """The ascending leaf tuple of an exact leaf bitmask."""
+
+def _mask_leaves(mask: int, universe: List[int]) -> Tuple[int, ...]:
+    """The leaf tuple of a local mask; ascending since ``universe`` is sorted."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        out.append(universe[low.bit_length() - 1])
         mask ^= low
     return tuple(out)
 
 
+# gate kinds as plain ints (the flat core stores kinds as bytes; comparing
+# against ints keeps IntEnum overhead out of the enumeration loop)
 _CONST = int(GateType.CONST)
 _PI = int(GateType.PI)
 _XOR = int(GateType.XOR)    # kinds <= _XOR with fanins are binary gates
-
-
-def leaf_signature(leaves: Sequence[int]) -> int:
-    """64-bit Bloom signature of a leaf set (bit ``node % 64`` per leaf)."""
-    sig = 0
-    for leaf in leaves:
-        sig |= 1 << (leaf & 63)
-    return sig
 
 
 class CutDatabase:
@@ -72,7 +66,7 @@ class CutDatabase:
 
     __slots__ = (
         "ntk", "k", "cut_limit", "network_version",
-        "leaves", "leaf_mask", "sig", "tt_bits", "tt_vars", "root", "phase",
+        "leaves", "tt_bits", "tt_vars", "root", "phase",
         "spans", "stats", "_materialized", "_intern",
     )
 
@@ -88,10 +82,6 @@ class CutDatabase:
         n_total = ntk.num_nodes()
         # flat per-cut arrays
         self.leaves: List[Tuple[int, ...]] = []
-        #: exact leaf set of each cut as a node-indexed bitmask — the merge
-        #: loop unions / bounds / dominance-tests cuts in single int ops
-        self.leaf_mask: List[int] = []
-        self.sig: List[int] = []
         self.tt_bits: List[int] = []
         self.tt_vars: List[int] = []
         self.root: List[int] = []
@@ -100,13 +90,11 @@ class CutDatabase:
         self.spans: List[Tuple[int, int]] = [(0, 0)] * n_total
         self._materialized: List[Optional[List[Cut]]] = [None] * n_total
         self._intern: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        # subset_checks counts pairwise dominance comparisons; each is one
-        # exact bitmask subset test, so sig_rejections (comparisons settled
-        # by the 64-bit Bloom signature alone, before the masks existed) is
-        # retained for record compatibility but always 0.
+        # subset_checks counts pairwise dominance comparisons, each one exact
+        # subset test on the merge's local leaf masks
         self.stats: Dict[str, int] = {
             "nodes": 0, "cuts": 0, "candidates": 0, "dominated": 0,
-            "sig_rejections": 0, "subset_checks": 0,
+            "subset_checks": 0,
         }
         self._build(nodes, order, choices)
         self.stats["cuts"] = len(self.leaves)
@@ -150,8 +138,6 @@ class CutDatabase:
 
         # local aliases for the hot loop
         flat_leaves = self.leaves
-        flat_mask = self.leaf_mask
-        flat_sig = self.sig
         flat_bits = self.tt_bits
         flat_vars = self.tt_vars
         flat_root = self.root
@@ -174,8 +160,6 @@ class CutDatabase:
             if t == _CONST:
                 empty = intern.setdefault((), ())
                 flat_leaves.append(empty)
-                flat_mask.append(0)
-                flat_sig.append(0)
                 flat_bits.append(0)
                 flat_vars.append(0)
                 flat_root.append(node)
@@ -195,36 +179,41 @@ class CutDatabase:
             fanin_phases = [f & 1 for f in fis]
             fanin_ranges = [spans[f >> 1] for f in fis]
 
-            # -- candidate merge on exact leaf bitmasks --
-            # a cut's leaf set is one node-indexed bitmask, so the union is
-            # one ``|``, the k-bound one popcount and duplicate detection one
-            # set probe — no per-leaf tuple walking until a cut survives
+            # -- candidate merge on local leaf masks --
+            # the leaves of all fanin cuts get dense bit positions in
+            # ascending node order, so a cut's leaf set is one small int:
+            # the union is one ``|``, the k-bound one popcount and duplicate
+            # detection one set probe, on masks as wide as this merge needs
+            fanin_cuts = [flat_leaves[s:e] for s, e in fanin_ranges]
+            universe = sorted({x for cls in fanin_cuts for cl in cls for x in cl})
+            bit_of = {leaf: 1 << j for j, leaf in enumerate(universe)}.__getitem__
+            local = [[sum(map(bit_of, cl)) for cl in cls] for cls in fanin_cuts]
             seen = set()
             cand: List[Tuple[int, Tuple[int, ...]]] = []
             if len(fis) == 2:
-                (s0, e0), (s1, e1) = fanin_ranges
-                for i0 in range(s0, e0):
-                    m0 = flat_mask[i0]
-                    for i1 in range(s1, e1):
-                        merged = m0 | flat_mask[i1]
+                (s0, _), (s1, _) = fanin_ranges
+                masks0, masks1 = local
+                for j0, m0 in enumerate(masks0):
+                    for j1, m1 in enumerate(masks1):
+                        merged = m0 | m1
                         if merged.bit_count() > k or merged in seen:
                             continue
                         seen.add(merged)
-                        cand.append((merged, (i0, i1)))
+                        cand.append((merged, (s0 + j0, s1 + j1)))
             else:
-                (s0, e0), (s1, e1), (s2, e2) = fanin_ranges
-                for i0 in range(s0, e0):
-                    m0 = flat_mask[i0]
-                    for i1 in range(s1, e1):
-                        m01 = m0 | flat_mask[i1]
+                (s0, _), (s1, _), (s2, _) = fanin_ranges
+                masks0, masks1, masks2 = local
+                for j0, m0 in enumerate(masks0):
+                    for j1, m1 in enumerate(masks1):
+                        m01 = m0 | m1
                         if m01.bit_count() > k:
                             continue
-                        for i2 in range(s2, e2):
-                            merged = m01 | flat_mask[i2]
+                        for j2, m2 in enumerate(masks2):
+                            merged = m01 | m2
                             if merged.bit_count() > k or merged in seen:
                                 continue
                             seen.add(merged)
-                            cand.append((merged, (i0, i1, i2)))
+                            cand.append((merged, (s0 + j0, s1 + j1, s2 + j2)))
             stats["candidates"] += len(cand)
 
             # -- exact dominance on the masks, smallest cuts first --
@@ -249,10 +238,7 @@ class CutDatabase:
 
             # -- truth tables, only for the survivors --
             for lmask, ids in kept:
-                leaves = _mask_leaves(lmask)
-                sig = 0
-                for i in ids:
-                    sig |= flat_sig[i]
+                leaves = _mask_leaves(lmask, universe)
                 nv = len(leaves)
                 full = (1 << (1 << nv)) - 1
                 pos_of = {leaf: i for i, leaf in enumerate(leaves)}
@@ -266,8 +252,6 @@ class CutDatabase:
                     vals.append(bits)
                 out = self._apply_gate(t, vals) & full
                 flat_leaves.append(intern.setdefault(leaves, leaves))
-                flat_mask.append(lmask)
-                flat_sig.append(sig)
                 flat_bits.append(out)
                 flat_vars.append(nv)
                 flat_root.append(node)
@@ -297,8 +281,6 @@ class CutDatabase:
                     if ch_phase:
                         bits ^= (1 << (1 << flat_vars[i])) - 1
                     flat_leaves.append(flat_leaves[i])
-                    flat_mask.append(flat_mask[i])
-                    flat_sig.append(flat_sig[i])
                     flat_bits.append(bits)
                     flat_vars.append(flat_vars[i])
                     flat_root.append(flat_root[i])
@@ -310,8 +292,6 @@ class CutDatabase:
     def _append_trivial(self, node: int) -> None:
         leaves = self._intern.setdefault((node,), (node,))
         self.leaves.append(leaves)
-        self.leaf_mask.append(1 << node)
-        self.sig.append(1 << (node & 63))
         self.tt_bits.append(_VAR1_BITS)
         self.tt_vars.append(1)
         self.root.append(node)
@@ -358,11 +338,6 @@ class CutDatabase:
     def cut_lists(self) -> List[List[Cut]]:
         """Per-node cut lists for all nodes (the ``enumerate_cuts`` view)."""
         return [self.cuts(n) for n in range(len(self.spans))]
-
-    def signatures(self, node: int) -> List[int]:
-        """Leaf signatures of the node's cuts, aligned with :meth:`cuts`."""
-        start, end = self.spans[node]
-        return self.sig[start:end]
 
     def __repr__(self) -> str:
         return (f"<CutDatabase nodes={self.stats['nodes']} cuts={self.num_cuts()} "

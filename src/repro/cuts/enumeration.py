@@ -7,9 +7,9 @@ K-LUT mapper (LUT content) and the ASIC mapper (Boolean matching against
 library cells) consume, and what MCH's multi-strategy resynthesis
 (Algorithm 2) rewrites.
 
-The actual enumeration engine lives in :mod:`repro.cuts.database` — a flat,
-signature-indexed :class:`~repro.cuts.database.CutDatabase` shared by all
-mapper passes.  :func:`enumerate_cuts` is the stable list-of-``Cut`` view of
+The actual enumeration engine lives in :mod:`repro.cuts.database` — a flat
+:class:`~repro.cuts.database.CutDatabase` that merges cuts on local leaf
+masks, shared by all mapper passes.  :func:`enumerate_cuts` is the stable list-of-``Cut`` view of
 that database.
 
 This module also owns the truth-table *expansion* machinery (re-expressing a

@@ -449,22 +449,22 @@ class _CoverPipeline:
                 if map_refs[m] == 0:
                     continue
                 old_cut = best[m]
-                self._cut_deref(old_cut, map_refs, best)
+                self._cut_walk(old_cut, map_refs, best, -1)
                 best_key = None
                 best_cut = old_cut
                 for cut in usable[m]:
                     arr = delay(cut) + max((arrival[l] for l in cut.leaves), default=0)
                     if arr > required[m]:
                         continue
-                    area = self._cut_ref(cut, map_refs, best)
-                    self._cut_deref(cut, map_refs, best)
+                    area = self._cut_walk(cut, map_refs, best, 1)
+                    self._cut_walk(cut, map_refs, best, -1)
                     key = (area, arr)
                     if best_key is None or key < best_key:
                         best_key = key
                         best_cut = cut
                         arrival[m] = arr
                 best[m] = best_cut
-                self._cut_ref(best_cut, map_refs, best)
+                self._cut_walk(best_cut, map_refs, best, 1)
             required = self._compute_required(arrival, best)
 
         return self._derive_cover(best)
@@ -508,21 +508,37 @@ class _CoverPipeline:
                     work.append(l)
         return refs
 
-    def _cut_ref(self, cut: Cut, refs: List[int], best: List[Optional[Cut]]) -> float:
-        area = self.cost(cut)
-        for l in cut.leaves:
-            refs[l] += 1
-            if refs[l] == 1 and self.ntk.is_gate(l):
-                area += self._cut_ref(best[l], refs, best)
-        return area
+    def _cut_walk(self, cut: Cut, refs: List[int], best: List[Optional[Cut]],
+                  delta: int) -> float:
+        """Reference (``delta=1``) or dereference (``delta=-1``) ``cut``'s
+        MFFC and return its area.
 
-    def _cut_deref(self, cut: Cut, refs: List[int], best: List[Optional[Cut]]) -> float:
-        area = self.cost(cut)
-        for l in cut.leaves:
-            refs[l] -= 1
-            if refs[l] == 0 and self.ntk.is_gate(l):
-                area += self._cut_deref(best[l], refs, best)
-        return area
+        An explicit-stack depth-first walk, so deep networks cannot overflow
+        the interpreter stack: a leaf gate whose count reaches 1 (ref) or
+        0 (deref) is descended into through its best cut.  Leaves are
+        visited in order and each child's area is added into its parent's
+        frame, so the float sums associate as a recursive walk would.
+        """
+        cost = self.cost
+        is_gate = self.ntk.is_gate
+        hit = 1 if delta > 0 else 0
+        leaves, i, area = cut.leaves, 0, cost(cut)
+        stack = []
+        while True:
+            if i < len(leaves):
+                l = leaves[i]
+                i += 1
+                refs[l] += delta
+                if refs[l] == hit and is_gate(l):
+                    stack.append((leaves, i, area))
+                    child = best[l]
+                    leaves, i, area = child.leaves, 0, cost(child)
+            elif stack:
+                child_area = area
+                leaves, i, area = stack.pop()
+                area += child_area
+            else:
+                return area
 
     def _derive_cover(self, best: List[Optional[Cut]]) -> MappingCover:
         ntk = self.ntk

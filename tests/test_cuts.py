@@ -1,17 +1,25 @@
 """Tests for priority-cut enumeration and cut functions."""
 
+import hashlib
+import random
+import sys
+import tracemalloc
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits import build
+from repro.core import MchParams, build_mch
 from repro.cuts import (
     Cut,
     CutDatabase,
     enumerate_cuts,
     expand_cache_stats,
     expand_tt,
-    leaf_signature,
     set_expand_cache_limit,
 )
+from repro.mapping import MappingSession, graph_map, lut_map
 from repro.networks import Aig, MixedNetwork, Xmg
 from repro.networks.base import lit_not
 from repro.truth.truth_table import TruthTable
@@ -172,14 +180,6 @@ class TestTrivialCutInvariant:
 
 
 class TestCutDatabase:
-    def test_signatures_match_leaves(self):
-        ntk = build_sample(MixedNetwork)
-        db = CutDatabase(ntk, k=4, cut_limit=8)
-        for node in ntk.nodes():
-            start, end = db.spans[node]
-            for i in range(start, end):
-                assert db.sig[i] == leaf_signature(db.leaves[i])
-
     def test_leaf_tuples_interned(self):
         ntk = build_sample(Aig)
         db = CutDatabase(ntk, k=4, cut_limit=8)
@@ -244,6 +244,123 @@ class TestCutDatabase:
         db = CutDatabase(ntk, k=4, cut_limit=8)
         g = max(ntk.gates())
         assert db.cuts(g) is db.cuts(g)
+
+
+def db_digest(db) -> str:
+    """sha256 of every array the cut consumers read."""
+    payload = repr((db.leaves, db.tt_bits, db.tt_vars, db.root, db.phase, db.spans))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+# Recorded with the node-indexed-bitmask enumerator this one replaced: the
+# local-mask merge must reproduce its cut arrays bit for bit.
+REFERENCE_DIGESTS = {
+    ("cavlc", 4): "03b8542633de967e3f3dc17a3a768a61c6db29e847e5128ddf8559f8aa8c4b15",
+    ("cavlc", 6): "65833f877464091d91cfe961f4eeac33063f571b77887d748208abe59e7fd88e",
+    ("hyp", 4): "f794f8860d7f307c4e37c1a3ea09baa171bce35e589be08a700c7057b3693729",
+    ("hyp", 6): "9de2425bee97c1fa4fe8e9ba65bad1eaef080847493c96380d9ac9a9b289e7e0",
+    ("voter", 4): "f02129f92858db1d992acd91cdfb1263f05c16f122c31599aa9753f494bbc86c",
+    ("voter", 6): "f02129f92858db1d992acd91cdfb1263f05c16f122c31599aa9753f494bbc86c",
+}
+REFERENCE_MCH_DIGEST = "ee90f588e6175d4991d6c838280bd667a8aa0b400bdbf3b7e85d87a744cf25c0"
+
+
+class TestReferenceDigests:
+    @pytest.mark.parametrize("name,k", sorted(REFERENCE_DIGESTS))
+    def test_plain_network(self, name, k):
+        db = CutDatabase(build(name, "small"), k=k, cut_limit=8)
+        assert db_digest(db) == REFERENCE_DIGESTS[name, k]
+
+    def test_choice_network(self):
+        mch = build_mch(build("cavlc", "small"), MchParams(representations=(Xmg,)))
+        db = MappingSession(mch).cut_database(6, 8)
+        assert db_digest(db) == REFERENCE_MCH_DIGEST
+
+
+def windowed_aig(n_gates: int, seed: int = 7, n_pis: int = 32, window: int = 64) -> Aig:
+    """Seeded random AIG whose gates draw fanins from the last ``window`` nodes."""
+    rng = random.Random(seed)
+    aig = Aig()
+    recent = [aig.create_pi() for _ in range(n_pis)]
+    while len(recent) < n_pis + n_gates:
+        lo = max(0, len(recent) - window)
+        a = recent[rng.randrange(lo, len(recent))] ^ rng.getrandbits(1)
+        b = recent[rng.randrange(lo, len(recent))] ^ rng.getrandbits(1)
+        g = aig.create_and(a, b)
+        if g >> 1 > recent[-1] >> 1:     # a new node, not a strash hit
+            recent.append(g & ~1)
+    aig.create_po(recent[-1])
+    return aig
+
+
+class TestScale:
+    def test_bytes_per_cut_independent_of_network_size(self):
+        """A cut's footprint must not grow with the index of its nodes."""
+        per_cut = []
+        for n_gates in (2000, 8000):
+            ntk = windowed_aig(n_gates)
+            # warm the network's lazy snapshot and order outside the trace
+            CutDatabase(ntk, k=3, cut_limit=3)
+            tracemalloc.start()
+            try:
+                db = CutDatabase(ntk, k=3, cut_limit=3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            per_cut.append(peak / db.num_cuts())
+        assert max(per_cut) <= 1.5 * min(per_cut), per_cut
+
+
+def and_chain(n: int) -> Aig:
+    """A depth-``n`` AND chain over 4 PIs."""
+    ntk = Aig()
+    pis = [ntk.create_pi() for _ in range(4)]
+    x = pis[0]
+    for i in range(n):
+        x = ntk.create_and(x ^ (i & 1), pis[1 + i % 3])
+    ntk.create_po(x)
+    return ntk
+
+
+def lut_digest(lut) -> str:
+    rows = [(lut.fanins(m), lut.lut_function(m).bits if lut.is_lut(m) else None)
+            for m in range(1 + lut.num_pis() + lut.num_luts())]
+    return hashlib.sha256(repr((rows, lut.pos)).encode()).hexdigest()
+
+
+def ntk_digest(ntk) -> str:
+    rows = [(int(ntk.node_type(m)), ntk.fanins(m)) for m in ntk.nodes()]
+    return hashlib.sha256(repr((rows, ntk.pos)).encode()).hexdigest()
+
+
+class TestDeepNetworkCover:
+    """Exact-area reference counting walks a chain's whole MFFC; it must not
+    need an interpreter frame per covered node.  Digests were recorded with
+    the recursive walk and a raised recursion limit."""
+
+    @staticmethod
+    def _with_low_recursion_limit(fn):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            return fn()
+        finally:
+            sys.setrecursionlimit(old)
+
+    def test_lut_map_chain(self):
+        ntk = and_chain(1500)
+        lut = self._with_low_recursion_limit(lambda: lut_map(ntk, k=6, cut_limit=8))
+        assert lut_digest(lut) == \
+            "1f26c8c1cbc0e395e25d09f206792050672afc1a81f9f47d52297dc2fa499917"
+
+    def test_graph_map_chain(self):
+        ntk = and_chain(1500)
+        out = self._with_low_recursion_limit(lambda: graph_map(ntk, Xmg))
+        assert ntk_digest(out) == \
+            "02355075a73ec977cef4d8444f1ab8099c73e1932a842ab87c269977dcd8afbd"
 
 
 class TestExpandCacheBound:
