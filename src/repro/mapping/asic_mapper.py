@@ -16,21 +16,27 @@ Cuts come from the shared :class:`~repro.mapping.engine.MappingSession` cut
 database and Boolean matching runs through the memoizing
 :class:`~repro.mapping.engine.LibraryCostModel`, so repeated mappings of the
 same subject (or the same library) share all the expensive precomputation.
+
+The covering loop is this module's own rather than
+:func:`~repro.mapping.engine.run_cover`: it covers two phases per node, relaxes
+through inverters, checks required times with a 1e-9 slack and per-pin
+delays, and its exact-area pass keeps the current implementation unless a
+candidate is strictly better.  Every traversal — reference counting, the
+exact-area walk and netlist construction — runs on an explicit stack, so a
+deep cover needs no interpreter frame per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.choice import ChoiceNetwork
-from ..cuts.cut import Cut
 from ..networks.base import LogicNetwork
 from ..networks.netlist import CellNetlist
-from .library import Library
+from .library import Cell, Library
 from .asap7 import asap7_library
 from .engine import MappingSession, library_cost_model
-from .matcher import Match
 
 __all__ = ["AsicMapper", "asic_map"]
 
@@ -39,12 +45,17 @@ INF = float("inf")
 
 @dataclass
 class _Impl:
-    """Chosen implementation of one (node, phase)."""
+    """Chosen implementation of one (node, phase).
 
-    kind: str                     # "match", "inv" or "const"
-    cut: Optional[Cut] = None
-    match: Optional[Match] = None
-    value: bool = False           # for kind == "const"
+    Input ``i`` of the cell is ``leaves[pins[i][0]]`` in phase ``pins[i][1]``,
+    reached with pin delay ``pins[i][2]``.
+    """
+
+    kind: str                                    # "match", "inv" or "const"
+    cell: Optional[Cell] = None                  # None for kind == "const"
+    leaves: Sequence[int] = ()                   # cut leaves on the support
+    pins: Sequence[Tuple[int, int, float]] = ()  # (variable, leaf phase, delay)
+    value: bool = False                          # for kind == "const"
 
 
 class AsicMapper:
@@ -56,29 +67,24 @@ class AsicMapper:
                  exact_iterations: int = 2):
         self.session = MappingSession.of(subject)
         self.ntk = self.session.ntk
-        self.choices = self.session.choices
         self.order = self.session.order()
         if objective not in ("delay", "area"):
             raise ValueError("objective must be 'delay' or 'area'")
         self.lib = library or asap7_library()
         self.objective = objective
         self.costs = library_cost_model(self.lib, max_pins=4)
-        self.k = self.costs.max_pins
         self.cut_limit = cut_limit
         self.flow_iterations = flow_iterations
         self.exact_iterations = exact_iterations
-        self.table = self.costs.table
         self.inv = self.lib.inverter
 
     # ------------------------------------------------------------------ #
 
     def run(self) -> CellNetlist:
-        import sys
-
         ntk = self.ntk
         n = ntk.num_nodes()
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
-        self.cuts = self.session.cut_database(self.k, self.cut_limit).cut_lists()
+        self.cuts = self.session.cut_database(self.costs.max_pins,
+                                              self.cut_limit).cut_lists()
         gate_nodes = self.session.gate_nodes()
 
         arrival = [[INF, INF] for _ in range(n)]
@@ -89,57 +95,36 @@ class AsicMapper:
         for pi in ntk.pis:
             arrival[pi][0], flow[pi][0] = 0.0, 0.0
             arrival[pi][1], flow[pi][1] = inv_d, inv_a
+            impl[pi][1] = self._inverter(pi, 1)
 
         # Initial fanout estimate from PO-reachable structure only, so choice
         # candidate cones do not inflate sharing estimates.
         refs = [max(1, r) for r in self.session.initial_refs()]
 
-        def select(m: int, required: Optional[List[List[float]]]) -> None:
+        def select(m: int, required: Optional[List[List[float]]],
+                   delay_first: bool) -> None:
             """(Re)select the best implementation of both phases of node m."""
-            cand: List[List[Tuple[Tuple[float, float], _Impl, float, float]]] = [[], []]
-            for cut in self.cuts[m]:
-                if len(cut.leaves) == 1 and cut.leaves[0] == m:
-                    continue
-                base_tt = cut.tt
-                for phase in (0, 1):
-                    tt = base_tt if phase == 0 else ~base_tt
-                    small, sup = self.costs.min_base(tt)
-                    if small.num_vars == 0:
-                        # the node is constant under this phase: zero-cost tie
-                        cand[phase].append((
-                            (0.0, 0.0), _Impl("const", value=small.is_const1()),
-                            0.0, 0.0,
-                        ))
-                        continue
-                    leaves = [cut.leaves[s] for s in sup]
-                    for match in self.table.lookup(small):
-                        arr = 0.0
-                        fl = match.cell.area
-                        ok = True
-                        for pin in range(match.cell.num_pins):
-                            leaf = leaves[match.leaf_of_pin[pin]]
-                            lphase = int(match.pin_phases[pin])
-                            la = arrival[leaf][lphase]
-                            if la == INF:
-                                ok = False
-                                break
-                            arr = max(arr, la + match.cell.pin_delays[pin])
-                            fl += flow[leaf][lphase] / refs[leaf]
-                        if not ok:
-                            continue
-                        if required is not None and arr > required[m][phase] + 1e-9:
-                            continue
-                        key = (arr, fl) if self.objective == "delay" else (fl, arr)
-                        cand[phase].append((key, _Impl("match", cut, match), arr, fl))
             for phase in (0, 1):
-                if cand[phase]:
-                    key, best, arr, fl = min(cand[phase], key=lambda t: t[0])
+                best = None
+                for im in self._candidates(m, phase):
+                    arr = fl = 0.0
+                    if im.kind == "match":
+                        fl = im.cell.area
+                        for var, lp, d in im.pins:
+                            leaf = im.leaves[var]
+                            arr = max(arr, arrival[leaf][lp] + d)
+                            fl += flow[leaf][lp] / refs[leaf]
+                        if arr == INF or (required is not None
+                                          and arr > required[m][phase] + 1e-9):
+                            continue
+                    key = (arr, fl) if delay_first else (fl, arr)
+                    if best is None or key < best_key:
+                        best, best_key, best_arr, best_fl = im, key, arr, fl
+                if best is not None:
                     impl[m][phase] = best
-                    arrival[m][phase] = arr
-                    flow[m][phase] = fl
+                    arrival[m][phase], flow[m][phase] = best_arr, best_fl
                 elif impl[m][phase] is None:
-                    arrival[m][phase] = INF
-                    flow[m][phase] = INF
+                    arrival[m][phase] = flow[m][phase] = INF
                 # else: keep the previous implementation — leaf arrivals may
                 # have drifted past the required time during recovery passes,
                 # but an already-selected match must never be discarded
@@ -152,33 +137,30 @@ class AsicMapper:
                 via_fl = flow[m][o] + inv_a
                 if required is not None and via_arr > required[m][phase] + 1e-9:
                     continue
-                cur = (arrival[m][phase], flow[m][phase]) if self.objective == "delay" \
+                cur = (arrival[m][phase], flow[m][phase]) if delay_first \
                     else (flow[m][phase], arrival[m][phase])
-                new = (via_arr, via_fl) if self.objective == "delay" else (via_fl, via_arr)
+                new = (via_arr, via_fl) if delay_first else (via_fl, via_arr)
                 if impl[m][phase] is None or new < cur:
                     # never let both phases be inverters of each other
                     if impl[m][o] is not None and impl[m][o].kind == "inv":
                         continue
-                    impl[m][phase] = _Impl("inv")
+                    impl[m][phase] = self._inverter(m, phase)
                     arrival[m][phase] = via_arr
                     flow[m][phase] = via_fl
 
         # ---- pass 1: delay (or plain flow for area objective) ----
         for m in gate_nodes:
-            select(m, None)
+            select(m, None, self.objective == "delay")
             if impl[m][0] is None and impl[m][1] is None:
                 raise RuntimeError(f"no library match for node {m}; library too weak")
 
         required = self._compute_required(arrival, impl)
 
-        # ---- area-flow recovery passes ----
+        # ---- area-flow recovery passes: flow-first selection under required ----
         for _ in range(self.flow_iterations):
-            refs = self._cover_refs(impl)
-            saved_objective = self.objective
-            self.objective = "area"  # flow-first selection under required
+            refs = [max(1, r0 + r1) for r0, r1 in self._phase_refs(impl)]
             for m in gate_nodes:
-                select(m, required)
-            self.objective = saved_objective
+                select(m, required, False)
             required = self._compute_required(arrival, impl)
 
         # ---- exact local area recovery ----
@@ -187,6 +169,26 @@ class AsicMapper:
             required = self._compute_required(arrival, impl)
 
         return self._derive(impl)
+
+    def _candidates(self, m: int, phase: int) -> Iterator[_Impl]:
+        """Const and match implementations of (m, phase): the node's cuts in
+        order, and each cut's library matches in order."""
+        costs = self.costs
+        for cut in self.cuts[m]:
+            if len(cut.leaves) == 1 and cut.leaves[0] == m:
+                continue
+            small, sup = costs.min_base(cut.tt if phase == 0 else ~cut.tt)
+            if small.num_vars == 0:
+                # the node is constant under this phase: zero-cost tie
+                yield _Impl("const", value=small.is_const1())
+                continue
+            leaves = [cut.leaves[s] for s in sup]
+            for match in costs.matches(small):
+                yield _Impl("match", match.cell, leaves, match.pins)
+
+    def _inverter(self, node: int, phase: int) -> _Impl:
+        """(node, phase) as an inverter driven by the opposite phase."""
+        return _Impl("inv", self.inv, (node,), ((0, 1 - phase, self.inv.max_delay()),))
 
     # -- exact-area machinery -------------------------------------------------
 
@@ -201,20 +203,11 @@ class AsicMapper:
                 stack.append((node, phase))
         while stack:
             node, phase = stack.pop()
-            if not ntk.is_gate(node):
-                continue
             im = impl[node][phase]
-            if im is None or im.kind == "const":
+            if not ntk.is_gate(node) or im is None:
                 continue
-            if im.kind == "inv":
-                refs[node][1 - phase] += 1
-                if refs[node][1 - phase] == 1:
-                    stack.append((node, 1 - phase))
-                continue
-            leaves, match = self._match_leaves(im)
-            for pin in range(match.cell.num_pins):
-                leaf = leaves[match.leaf_of_pin[pin]]
-                lp = int(match.pin_phases[pin])
+            for var, lp, _ in im.pins:
+                leaf = im.leaves[var]
                 refs[leaf][lp] += 1
                 if refs[leaf][lp] == 1:
                     stack.append((leaf, lp))
@@ -222,61 +215,55 @@ class AsicMapper:
 
     def _area_of(self, node: int, phase: int, impl) -> float:
         """Cell area charged when (node, phase) first becomes referenced."""
-        ntk = self.ntk
-        if ntk.is_const(node):
-            return 0.0
-        if ntk.is_pi(node):
-            return self.inv.area if phase else 0.0
         im = impl[node][phase]
-        if im is None:
-            return INF
-        if im.kind == "const":
-            return 0.0
-        return self.inv.area if im.kind == "inv" else im.match.cell.area
+        if im is None:  # a constant, a PI's true phase or an unmapped gate
+            return INF if self.ntk.is_gate(node) else 0.0
+        return 0.0 if im.cell is None else im.cell.area
 
-    def _node_ref(self, node: int, phase: int, refs, impl) -> float:
-        """Add one reference to (node, phase); returns newly materialized area."""
-        refs[node][phase] += 1
-        if refs[node][phase] > 1:
-            return 0.0
-        area = self._area_of(node, phase, impl)
-        if self.ntk.is_gate(node):
-            area += self._inputs_ref(node, phase, refs, impl)
-        return area
+    def _walk(self, node: int, phase: int, refs, impl, delta: int) -> float:
+        """Reference (``delta=1``) or dereference (``delta=-1``) the inputs of
+        (node, phase)'s implementation; returns the area they materialize
+        (ref) or release (deref).
 
-    def _node_deref(self, node: int, phase: int, refs, impl) -> float:
-        refs[node][phase] -= 1
-        if refs[node][phase] > 0:
-            return 0.0
-        area = self._area_of(node, phase, impl)
-        if self.ntk.is_gate(node):
-            area += self._inputs_deref(node, phase, refs, impl)
-        return area
-
-    def _inputs_ref(self, node: int, phase: int, refs, impl) -> float:
+        An explicit-stack depth-first walk, so deep covers need no
+        interpreter frame per node: an input whose count reaches 1 (ref) or
+        0 (deref) is charged its cell and, if it is a gate, descended into.
+        Inputs are visited in pin order and each input's area is added into
+        its parent's sum, so the floats associate as a recursive walk would.
+        """
+        is_gate = self.ntk.is_gate
+        hit = 1 if delta > 0 else 0
         im = impl[node][phase]
-        if im.kind == "const":
-            return 0.0
-        if im.kind == "inv":
-            return self._node_ref(node, 1 - phase, refs, impl)
-        leaves, match = self._match_leaves(im)
-        area = 0.0
-        for pin in range(match.cell.num_pins):
-            leaf = leaves[match.leaf_of_pin[pin]]
-            area += self._node_ref(leaf, int(match.pin_phases[pin]), refs, impl)
-        return area
+        leaves, pins, i, own, acc = im.leaves, im.pins, 0, 0.0, 0.0
+        stack = []
+        while True:
+            if i < len(pins):
+                var, lp, _ = pins[i]
+                leaf = leaves[var]
+                i += 1
+                refs[leaf][lp] += delta
+                if refs[leaf][lp] != hit:
+                    continue
+                area = self._area_of(leaf, lp, impl)
+                if is_gate(leaf):
+                    stack.append((leaves, pins, i, own, acc))
+                    child = impl[leaf][lp]
+                    leaves, pins, i, own, acc = child.leaves, child.pins, 0, area, 0.0
+                else:
+                    acc += area
+            elif stack:
+                total = own + acc
+                leaves, pins, i, own, acc = stack.pop()
+                acc += total
+            else:
+                return acc
 
-    def _inputs_deref(self, node: int, phase: int, refs, impl) -> float:
-        im = impl[node][phase]
-        if im.kind == "const":
-            return 0.0
-        if im.kind == "inv":
-            return self._node_deref(node, 1 - phase, refs, impl)
-        leaves, match = self._match_leaves(im)
-        area = 0.0
-        for pin in range(match.cell.num_pins):
-            leaf = leaves[match.leaf_of_pin[pin]]
-            area += self._node_deref(leaf, int(match.pin_phases[pin]), refs, impl)
+    def _trial_area(self, m: int, phase: int, im: _Impl, refs, impl) -> float:
+        """Area ``im`` would materialize at (m, phase): its cell plus the
+        inputs it newly references.  Leaves ``im`` installed at (m, phase)."""
+        impl[m][phase] = im
+        area = im.cell.area + self._walk(m, phase, refs, impl, 1)
+        self._walk(m, phase, refs, impl, -1)
         return area
 
     def _exact_area_pass(self, gate_nodes, arrival, impl, required) -> None:
@@ -284,55 +271,27 @@ class AsicMapper:
         refs = self._phase_refs(impl)
         for m in gate_nodes:
             for phase in (0, 1):
-                if refs[m][phase] == 0 or impl[m][phase] is None:
-                    continue
-                if impl[m][phase].kind in ("inv", "const"):
-                    continue  # inverters re-decide through their base phase
                 old = impl[m][phase]
-                old_arr = arrival[m][phase]
+                if refs[m][phase] == 0 or old is None or old.kind != "match":
+                    continue  # inverters re-decide through their base phase
                 # release the current implementation's input charges
-                self._inputs_deref(m, phase, refs, impl)
-                best_key = (old.match.cell.area + self._trial_area(m, phase, old, refs, impl),
-                            old_arr)
-                best_impl, best_arr = old, old_arr
-                for cut in self.cuts[m]:
-                    if len(cut.leaves) == 1 and cut.leaves[0] == m:
+                self._walk(m, phase, refs, impl, -1)
+                best, best_arr = old, arrival[m][phase]
+                best_key = (self._trial_area(m, phase, old, refs, impl), best_arr)
+                for im in self._candidates(m, phase):
+                    if im.kind == "const":
                         continue
-                    tt = cut.tt if phase == 0 else ~cut.tt
-                    small, sup = self.costs.min_base(tt)
-                    if small.num_vars == 0:
+                    arr = 0.0
+                    for var, lp, d in im.pins:
+                        arr = max(arr, arrival[im.leaves[var]][lp] + d)
+                    if arr == INF or arr > required[m][phase] + 1e-9:
                         continue
-                    leaves = [cut.leaves[s] for s in sup]
-                    for match in self.table.lookup(small):
-                        arr = 0.0
-                        ok = True
-                        for pin in range(match.cell.num_pins):
-                            leaf = leaves[match.leaf_of_pin[pin]]
-                            la = arrival[leaf][int(match.pin_phases[pin])]
-                            if la == INF:
-                                ok = False
-                                break
-                            arr = max(arr, la + match.cell.pin_delays[pin])
-                        if not ok or arr > required[m][phase] + 1e-9:
-                            continue
-                        cand = _Impl("match", cut, match)
-                        gained = match.cell.area + self._trial_area(m, phase, cand, refs, impl)
-                        key = (gained, arr)
-                        if key < best_key:
-                            best_key = key
-                            best_impl, best_arr = cand, arr
-                impl[m][phase] = best_impl
+                    key = (self._trial_area(m, phase, im, refs, impl), arr)
+                    if key < best_key:
+                        best, best_key, best_arr = im, key, arr
+                impl[m][phase] = best
                 arrival[m][phase] = best_arr
-                self._inputs_ref(m, phase, refs, impl)
-
-    def _trial_area(self, node: int, phase: int, cand: "_Impl", refs, impl) -> float:
-        """Input area a candidate implementation would materialize."""
-        saved = impl[node][phase]
-        impl[node][phase] = cand
-        area = self._inputs_ref(node, phase, refs, impl)
-        self._inputs_deref(node, phase, refs, impl)
-        impl[node][phase] = saved
-        return area
+                self._walk(m, phase, refs, impl, 1)
 
     # ------------------------------------------------------------------ #
 
@@ -362,105 +321,43 @@ class AsicMapper:
                 continue
             for phase in (0, 1):
                 req = required[m][phase]
-                if req == INF or impl[m][phase] is None:
-                    continue
                 im = impl[m][phase]
-                if im.kind == "const":
+                if req == INF or im is None:
                     continue
-                if im.kind == "inv":
-                    o = 1 - phase
-                    required[m][o] = min(required[m][o], req - self.inv.max_delay())
-                else:
-                    leaves, match = self._match_leaves(im)
-                    for pin in range(match.cell.num_pins):
-                        leaf = leaves[match.leaf_of_pin[pin]]
-                        lp = int(match.pin_phases[pin])
-                        required[leaf][lp] = min(
-                            required[leaf][lp], req - match.cell.pin_delays[pin]
-                        )
+                for var, lp, d in im.pins:
+                    leaf = im.leaves[var]
+                    required[leaf][lp] = min(required[leaf][lp], req - d)
         return required
 
-    def _match_leaves(self, im: _Impl) -> Tuple[List[int], Match]:
-        _, sup = self.costs.min_base(im.cut.tt)
-        leaves = [im.cut.leaves[s] for s in sup]
-        return leaves, im.match
-
-    def _cover_refs(self, impl) -> List[int]:
-        """Combined (both-phase) reference counts of the current cover."""
-        ntk = self.ntk
-        refs = [0] * ntk.num_nodes()
-        seen = set()
-        stack = []
-        for node, phase in self._po_requirements():
-            refs[node] += 1
-            if ntk.is_gate(node):
-                stack.append((node, phase))
-        while stack:
-            node, phase = stack.pop()
-            if (node, phase) in seen:
-                continue
-            seen.add((node, phase))
-            im = impl[node][phase]
-            if im is None or im.kind == "const":
-                continue
-            if im.kind == "inv":
-                refs[node] += 1
-                stack.append((node, 1 - phase))
-                continue
-            leaves, match = self._match_leaves(im)
-            for pin in range(match.cell.num_pins):
-                leaf = leaves[match.leaf_of_pin[pin]]
-                refs[leaf] += 1
-                if ntk.is_gate(leaf):
-                    stack.append((leaf, int(match.pin_phases[pin])))
-        return [max(1, r) for r in refs]
-
     def _derive(self, impl) -> CellNetlist:
+        """Instantiate the cover from the POs, depth first: each (node, phase)
+        gets its cell after all of its inputs, in pin order."""
         ntk = self.ntk
         netlist = CellNetlist(self.lib.name)
         net_of: Dict[Tuple[int, int], int] = {(0, 0): netlist.const0, (0, 1): netlist.const1}
         for name, pi in zip(ntk.pi_names, ntk.pis):
             net_of[(pi, 0)] = netlist.create_pi(name)
-
-        def materialize(node: int, phase: int) -> int:
-            key = (node, phase)
-            if key in net_of:
-                return net_of[key]
-            if ntk.is_pi(node):  # phase must be 1 here
-                net = netlist.add_cell(self.inv, (net_of[(node, 0)],))
-                net_of[key] = net
-                return net
-            im = impl[node][phase]
-            if im is None:
-                raise RuntimeError(f"phase {phase} of node {node} not implemented")
-            if im.kind == "const":
-                net = netlist.const1 if im.value else netlist.const0
-                net_of[key] = net
-                return net
-            if im.kind == "inv":
-                src = materialize(node, 1 - phase)
-                net = netlist.add_cell(self.inv, (src,))
-                net_of[key] = net
-                return net
-            leaves, match = self._match_leaves(im)
-            pins = []
-            for pin in range(match.cell.num_pins):
-                leaf = leaves[match.leaf_of_pin[pin]]
-                pins.append(materialize(leaf, int(match.pin_phases[pin])))
-            net = netlist.add_cell(match.cell, tuple(pins))
-            net_of[key] = net
-            return net
-
-        # iterative wrapper to avoid deep recursion on long chains
-        import sys
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 4 * ntk.num_nodes() + 1000))
-        try:
-            for p, name in zip(ntk.pos, ntk.po_names):
-                node, phase = p >> 1, p & 1
-                netlist.create_po(materialize(node, phase), name)
-        finally:
-            sys.setrecursionlimit(old_limit)
+        for p, name in zip(ntk.pos, ntk.po_names):
+            root = (p >> 1, p & 1)
+            stack = [root]
+            while stack:
+                key = stack[-1]
+                if key in net_of:
+                    stack.pop()
+                    continue
+                im = impl[key[0]][key[1]]
+                if im is None:
+                    raise RuntimeError(f"phase {key[1]} of node {key[0]} not implemented")
+                if im.kind == "const":
+                    net_of[key] = netlist.const1 if im.value else netlist.const0
+                    continue
+                inputs = [(im.leaves[var], lp) for var, lp, _ in im.pins]
+                missing = next((k for k in inputs if k not in net_of), None)
+                if missing is not None:
+                    stack.append(missing)
+                else:
+                    net_of[key] = netlist.add_cell(im.cell, tuple(net_of[k] for k in inputs))
+            netlist.create_po(net_of[root], name)
         return netlist
 
 

@@ -13,9 +13,12 @@ This module is the common substrate of all three cut-based mappers:
   :class:`NpnCostModel` (estimated target-representation gate count), and
   the ASIC mapper's Boolean matching runs through :class:`LibraryCostModel`
   (memoized min-base reduction + library match lookup).
-* :func:`run_cover` is the single covering pipeline — depth-oriented pass,
-  global required times, area-flow recovery and exact-area recovery with
-  reference counting — that used to be duplicated across the mappers.
+* :func:`run_cover` is the covering pipeline of the K-LUT and graph
+  mappers — depth-oriented pass, global required times, area-flow recovery
+  and exact-area recovery with reference counting.  The phase-aware ASIC
+  mapper (:mod:`repro.mapping.asic_mapper`) shares the session and the
+  library cost model but runs its own cover, because it covers both phases
+  of every node and breaks ties differently.
 """
 
 from __future__ import annotations
@@ -363,7 +366,9 @@ def run_cover(session: MappingSession, cost_model: CostModel, *,
     The classic priority-cuts pipeline (Mishchenko et al., ICCAD'07 /
     FPGA'06): a depth-oriented pass, global required-time computation,
     area-flow recovery passes and exact-area recovery passes with reference
-    counting.  Every mapper consumes this one implementation.
+    counting.  :func:`~repro.mapping.lut_mapper.lut_map` and
+    :func:`~repro.mapping.graph_mapper.graph_map` consume it; the
+    phase-aware :class:`~repro.mapping.asic_mapper.AsicMapper` does not.
     """
     if objective not in ("delay", "area"):
         raise ValueError("objective must be 'delay' or 'area'")

@@ -9,13 +9,17 @@ into their representatives (Algorithm 3 of the paper), so candidates from
 heterogeneous representations compete on equal terms inside the dynamic
 program.
 
-The same engine drives three consumers:
+The covering pipeline, :func:`~repro.mapping.engine.run_cover`, drives these
+consumers:
 
 * :func:`lut_map` — FPGA K-LUT mapping (:class:`~repro.mapping.engine.UnitCostModel`);
 * ASIC pre-selection experiments (custom ``cut_cost_fn``);
 * :mod:`repro.mapping.graph_mapper` — mapping-based logic optimization,
   where the cut cost is the estimated gate count of resynthesizing the cut
   in the target representation.
+
+Standard-cell mapping (:mod:`repro.mapping.asic_mapper`) shares the cut
+database but not this pipeline: it runs its own phase-aware cover.
 """
 
 from __future__ import annotations

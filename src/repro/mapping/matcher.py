@@ -15,7 +15,7 @@ whether that phase comes for free (e.g. a NAND output) or costs an inverter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..truth.truth_table import TruthTable
@@ -30,12 +30,20 @@ class Match:
 
     ``leaf_of_pin[i]`` is the function-variable index driving pin ``i``;
     ``pin_phases[i]`` is True when pin ``i`` consumes the complemented
-    leaf signal.
+    leaf signal.  ``pins`` zips both with the cell's pin delays into one
+    ``(variable, leaf phase, pin delay)`` row per pin, the form the mapper's
+    inner loops read.
     """
 
     cell: Cell
     leaf_of_pin: Tuple[int, ...]
     pin_phases: Tuple[bool, ...]
+    pins: Tuple[Tuple[int, int, float], ...] = field(init=False, repr=False,
+                                                    compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pins", tuple(zip(
+            self.leaf_of_pin, map(int, self.pin_phases), self.cell.pin_delays)))
 
 
 class MatchTable:

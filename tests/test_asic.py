@@ -1,9 +1,12 @@
 """Tests for the standard-cell library, Boolean matcher and ASIC mapper."""
 
+import hashlib
+
 import pytest
 
 from repro.circuits import build
 from repro.core import MchParams, build_mch
+from repro.flow import run_flow
 from repro.mapping import (
     MatchTable,
     asap7_library,
@@ -12,6 +15,7 @@ from repro.mapping import (
     write_genlib,
 )
 from repro.mapping.library import parse_expression
+from repro.mapping.supergates import expand_with_supergates
 from repro.networks import Aig, Xag, Xmg
 from repro.sat import cec
 from repro.truth.truth_table import TruthTable
@@ -174,3 +178,53 @@ class TestAsicMapper:
         assert sum(hist.values()) == nl.num_cells()
         v = write_verilog_netlist(nl)
         assert v.startswith("module top") and v.rstrip().endswith("endmodule")
+
+
+def netlist_digest(nl) -> str:
+    """sha256 of every cell instance (cell name, fanin nets) plus the POs."""
+    rows = [(d[0].name, d[1]) for d in nl._drivers if d is not None]
+    return hashlib.sha256(repr((rows, nl.pos)).encode()).hexdigest()
+
+
+class TestReferenceDigests:
+    """Netlists pinned to the digests of the recursive AsicMapper that the
+    iterative cover replaced: any change in candidate order, tie-breaking or
+    float association of the area sums shows up here."""
+
+    @pytest.mark.parametrize("name,objective,digest", [
+        ("adder", "delay", "00892451a23261998931db3709a0cd4d5fd2eb8112fa9282bcd52c2dbde6a567"),
+        ("adder", "area", "876d32b9400c25d33f46c5a50a535bf592a9b78fde204d4262d4d40d0445cf57"),
+        ("max", "delay", "13c5f886066f182a2fbfb5f3352515f9f0edf4fa6caad86cfd22fccc8eadbc02"),
+        ("max", "area", "83fb024aa7f62e7606fe956b4ff64177e638698635737a0ccd8bc5116f9ce774"),
+        ("cavlc", "delay", "34e41bea03893cd5813f98ed0cff6f669bae2c02b1a6824fb5608ff987feda9e"),
+        ("cavlc", "area", "ca8eeaaa90703e663eb36b7053c231c004760ee5cf2bf32540331f13444eaaa8"),
+        ("router", "delay", "4dcd69af477eb2f953087604c3e3de77e83028560ae8054b4d68f8bdbc0e3d9f"),
+        ("router", "area", "52ba70549eebec5b66b09a21afff95a32f141d8c704609c27a82a55c46ae4f94"),
+        ("int2float", "delay", "b925915262104947ce47fcdbd2e084ee0a77e48df2e5e05e46ed1437ef73842e"),
+        ("int2float", "area", "f5cb32bc890eda2b3278fcf50f747e04e502bfc9875d8d4c3c6e45d60c2cdfd1"),
+    ])
+    def test_tiny_circuit(self, name, objective, digest):
+        nl = asic_map(build(name, "tiny"), objective=objective)
+        assert netlist_digest(nl) == digest
+
+    @pytest.mark.parametrize("script,objective,digest", [
+        ("mch -p xmg,xag -r 0.6", "delay",
+         "e40ce99f309898703fe2259a9dbba45e8f3a764121bbac339672748ff1032cd3"),
+        ("mch -p xmg -r 1.5", "area",
+         "669a599f248e06e184e26748cf227c87604ebe50685501516e79a47be8f0eda5"),
+    ])
+    def test_int2float_choice_network(self, script, objective, digest):
+        ntk = build("int2float", "small")
+        choices = run_flow(ntk, f"converge4( b; gm; b ); {script}").network
+        assert netlist_digest(asic_map(choices, objective=objective)) == digest
+
+    @pytest.mark.parametrize("name,objective,digest", [
+        ("int2float", "area", "f5cb32bc890eda2b3278fcf50f747e04e502bfc9875d8d4c3c6e45d60c2cdfd1"),
+        # delay mapping of the adder picks supergates, so it differs from
+        # the plain-library netlist above
+        ("adder", "delay", "6ab44156941d82d733530914a3a96d48f23e80677bc565fe0cf3a8ecd5f99add"),
+    ])
+    def test_supergate_library(self, name, objective, digest):
+        lib = expand_with_supergates(asap7_library())
+        nl = asic_map(build(name, "tiny"), library=lib, objective=objective)
+        assert netlist_digest(nl) == digest

@@ -19,7 +19,7 @@ from repro.cuts import (
     expand_tt,
     set_expand_cache_limit,
 )
-from repro.mapping import MappingSession, graph_map, lut_map
+from repro.mapping import MappingSession, asic_map, graph_map, lut_map
 from repro.networks import Aig, MixedNetwork, Xmg
 from repro.networks.base import lit_not
 from repro.truth.truth_table import TruthTable
@@ -333,6 +333,11 @@ def ntk_digest(ntk) -> str:
     return hashlib.sha256(repr((rows, ntk.pos)).encode()).hexdigest()
 
 
+def netlist_digest(nl) -> str:
+    rows = [(d[0].name, d[1]) for d in nl._drivers if d is not None]
+    return hashlib.sha256(repr((rows, nl.pos)).encode()).hexdigest()
+
+
 class TestDeepNetworkCover:
     """Exact-area reference counting walks a chain's whole MFFC; it must not
     need an interpreter frame per covered node.  Digests were recorded with
@@ -361,6 +366,19 @@ class TestDeepNetworkCover:
         out = self._with_low_recursion_limit(lambda: graph_map(ntk, Xmg))
         assert ntk_digest(out) == \
             "02355075a73ec977cef4d8444f1ab8099c73e1932a842ab87c269977dcd8afbd"
+
+    def test_asic_map_chain(self):
+        ntk = and_chain(1500)
+
+        def run():
+            limit = sys.getrecursionlimit()
+            return asic_map(ntk), limit, sys.getrecursionlimit()
+
+        nl, before, after = self._with_low_recursion_limit(run)
+        assert netlist_digest(nl) == \
+            "d4f3e94bc88f2896ad275219fb0d3ed7e9f90ffb601e35dc99ba41d7765bd64b"
+        # the mapper must not raise the interpreter limit behind the caller
+        assert after == before
 
 
 class TestExpandCacheBound:

@@ -7,6 +7,7 @@ exercises.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -88,3 +89,67 @@ def test_choice_heavy_configurations(seed):
     assert mch.verify()
     lut = lut_map(mch, k=4, objective="delay")
     assert cec(ntk, lut.to_logic_network(Aig))
+
+
+# ---------------------------------------------------------------------- #
+# deep and wide networks                                                  #
+# ---------------------------------------------------------------------- #
+
+def deep_chain(depth: int, seed: int) -> Aig:
+    """A depth-``depth`` chain of AND/OR gates, each taking one of 3 side PIs."""
+    rng = random.Random(seed)
+    ntk = Aig()
+    pis = [ntk.create_pi() for _ in range(4)]
+    x = pis[0]
+    for _ in range(depth):
+        op = ntk.create_and if rng.random() < 0.5 else ntk.create_or
+        x = op(x ^ rng.randint(0, 1), rng.choice(pis[1:]) ^ rng.randint(0, 1))
+    ntk.create_po(x)
+    return ntk
+
+
+def wide_tree(leaves: int, seed: int) -> Aig:
+    """A balanced AND/OR/XOR tree over ``leaves`` PIs with random inversions."""
+    rng = random.Random(seed)
+    ntk = Aig()
+    level = [ntk.create_pi() ^ rng.randint(0, 1) for _ in range(leaves)]
+    while len(level) > 1:
+        paired = []
+        for a, b in zip(level[::2], level[1::2]):
+            op = rng.choice((ntk.create_and, ntk.create_or, ntk.create_xor))
+            paired.append(op(a, b) ^ rng.randint(0, 1))
+        level = paired + level[len(paired) * 2:]
+    ntk.create_po(level[0])
+    return ntk
+
+
+deep_or_wide = st.one_of(
+    st.builds(deep_chain, st.integers(min_value=300, max_value=800),
+              st.integers(min_value=0, max_value=2**31 - 1)),
+    st.builds(wide_tree, st.integers(min_value=256, max_value=512),
+              st.integers(min_value=0, max_value=2**31 - 1)),
+)
+
+
+def _with_low_recursion_limit(fn):
+    """Run ``fn`` with at most 100 interpreter frames to spare."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        return fn()
+    finally:
+        sys.setrecursionlimit(old)
+
+
+@given(deep_or_wide)
+@settings(max_examples=6, deadline=None)
+def test_mappers_on_deep_and_wide_networks(ntk):
+    lut = _with_low_recursion_limit(lambda: lut_map(ntk, k=6))
+    assert cec(ntk, lut.to_logic_network(Aig)), "LUT mapping broke equivalence"
+    out = _with_low_recursion_limit(lambda: graph_map(ntk, Xmg))
+    assert cec(ntk, out), "graph mapping broke equivalence"
+    nl = _with_low_recursion_limit(lambda: asic_map(ntk))
+    assert cec(ntk, nl.to_logic_network(Aig)), "ASIC mapping broke equivalence"
