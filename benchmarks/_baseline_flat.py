@@ -1,8 +1,9 @@
-"""Frozen pre-flat hot paths, for benchmark comparison only.
+"""Frozen object-walking hot paths, for benchmark comparison only.
 
-Verbatim snapshots of the three object-walking consumers the flat
-struct-of-arrays core replaced, re-frozen from the revisions that preceded
-it:
+Verbatim copies of the three object-walking consumers that the current
+readers (the flat cut database, the compiled simulation program and the
+builder-list Tseitin encoder) replaced, re-frozen from the revisions that
+preceded them:
 
 * :func:`baseline_enumerate_cuts` — the seed priority-cut enumerator
   (per-cut ``Cut`` objects, tuple-merge leaf unions, an eager truth table
@@ -10,10 +11,10 @@ it:
 * :func:`baseline_simulate_words` — the seed bit-parallel simulator
   (per-node ``node_type`` / ``fanins`` method dispatch, a closure call per
   fanin literal);
-* :class:`BaselineCnfBuilder` — the pre-flat Tseitin encoder (dict-based
+* :class:`BaselineCnfBuilder` — the earlier Tseitin encoder (dict-based
   node→var map, per-gate method calls).
 
-``bench_cuts.py`` and ``bench_flat.py`` time these against the flat-core
+``bench_cuts.py`` and ``bench_flat.py`` time these against the current
 paths and assert bit-identical outputs.  Do not use outside benchmarks.
 """
 

@@ -4,9 +4,9 @@ Measures, on the largest bundled circuit at the selected scale:
 
 * cut-database construction (priority-cut enumeration with exact cut
   functions, k=6, cut_limit=8) — reported as nodes/second;
-* the same enumeration through the re-frozen pre-flat baseline of
+* the same enumeration through the re-frozen object-cut baseline of
   ``_baseline_flat.py`` (seed object-cut enumerator, eager truth tables) —
-  the speedup between the two is the flat-core headline number
+  the speedup between the two is the cut-database headline number
   (target: >= 3x), and the two cut sets must be **bit-identical**;
 * one full ``lut_map`` run (enumeration + all covering passes);
 * a scale leg on a seeded windowed random AIG (20k gates; 2k at ``tiny``

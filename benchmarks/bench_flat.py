@@ -1,15 +1,14 @@
-"""Micro-benchmark: the flat struct-of-arrays core vs the object-walking paths.
+"""Micro-benchmark: the builder-list readers vs the object-walking paths.
 
+Simulation and Tseitin encoding read a network's builder lists
+(``_types``, ``_fanins``, ``_levels``, ``_pis``, ``_pos``) directly.
 Measures, on the largest bundled circuit at the selected scale:
 
-* flat snapshot construction (``FlatNetwork.from_network``) and the exact
-  ``to_network`` round-trip (fingerprint-checked);
-* bit-parallel simulation through the flat-compiled program vs the
-  re-frozen seed simulator of ``_baseline_flat.py`` — outputs must be
+* bit-parallel simulation through the compiled program vs the re-frozen
+  seed simulator of ``_baseline_flat.py`` — outputs must be
   **bit-identical**, speedup must be >= 1;
-* Tseitin encoding straight from the flat arrays vs the re-frozen
-  dict-based builder — identical variable numbering, clause list and PO
-  literals, speedup >= 1.
+* Tseitin encoding vs the re-frozen dict-based builder — identical
+  variable numbering, clause list and PO literals, speedup >= 1.
 
 Results are written to ``benchmarks/results/BENCH_flat.json``.  Run
 standalone (``python benchmarks/bench_flat.py``) or under pytest.
@@ -24,9 +23,7 @@ import pytest
 from conftest import RESULTS_DIR, SCALE
 
 from _baseline_flat import BaselineCnfBuilder, baseline_simulate_words
-from repro.batch import state_fingerprint
 from repro.circuits import ALL_BENCHMARKS, build
-from repro.networks.flat import FlatNetwork
 from repro.sat.cnf import CnfBuilder
 from repro.sim import simulate_words
 
@@ -55,50 +52,38 @@ def _stimulus(n_pis: int, bits: int, seed: int = 7):
 def measure(scale: str = SCALE) -> dict:
     name, ntk = largest_circuit(scale)
 
-    # -- snapshot + round trip -------------------------------------------
-    t0 = time.perf_counter()
-    snap = FlatNetwork.from_network(ntk)
-    t_snap = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    back = snap.to_network()
-    t_back = time.perf_counter() - t0
-    round_trip_exact = state_fingerprint(back) == state_fingerprint(ntk)
-
     # -- simulation -------------------------------------------------------
     patterns, mask = _stimulus(ntk.num_pis(), SIM_BITS)
     simulate_words(ntk, patterns, mask)   # warm the compiled program cache
     t0 = time.perf_counter()
     for _ in range(SIM_ROUNDS):
-        flat_vals = simulate_words(ntk, patterns, mask)
+        vals = simulate_words(ntk, patterns, mask)
     t_sim = (time.perf_counter() - t0) / SIM_ROUNDS
     t0 = time.perf_counter()
     for _ in range(SIM_ROUNDS):
         base_vals = baseline_simulate_words(ntk, patterns, mask)
     t_sim_base = (time.perf_counter() - t0) / SIM_ROUNDS
-    sim_identical = flat_vals == base_vals
+    sim_identical = vals == base_vals
 
     # -- Tseitin encoding -------------------------------------------------
     t0 = time.perf_counter()
-    flat_cnf = CnfBuilder()
-    flat_vars, flat_pos = flat_cnf.encode(ntk)
+    cnf = CnfBuilder()
+    var_of, po_lits = cnf.encode(ntk)
     t_enc = time.perf_counter() - t0
     t0 = time.perf_counter()
     base_cnf = BaselineCnfBuilder()
     base_vars, base_pos = base_cnf.encode(ntk)
     t_enc_base = time.perf_counter() - t0
-    enc_identical = (flat_cnf.num_vars == base_cnf.num_vars
-                     and flat_cnf.clauses == base_cnf.clauses
-                     and dict(flat_vars) == dict(base_vars)
-                     and list(flat_pos) == list(base_pos))
+    enc_identical = (cnf.num_vars == base_cnf.num_vars
+                     and cnf.clauses == base_cnf.clauses
+                     and dict(var_of) == dict(base_vars)
+                     and list(po_lits) == list(base_pos))
 
     return {
         "circuit": name,
         "scale": scale,
         "nodes": ntk.num_nodes(),
         "gates": ntk.num_gates(),
-        "snapshot_seconds": round(t_snap, 6),
-        "to_network_seconds": round(t_back, 6),
-        "round_trip_exact": round_trip_exact,
         "sim_bits": SIM_BITS,
         "sim_seconds": round(t_sim, 6),
         "baseline_sim_seconds": round(t_sim_base, 6),
@@ -108,7 +93,7 @@ def measure(scale: str = SCALE) -> dict:
         "baseline_encode_seconds": round(t_enc_base, 6),
         "encode_speedup": round(t_enc_base / t_enc, 3) if t_enc > 0 else 0.0,
         "encode_identical": enc_identical,
-        "clauses": len(flat_cnf.clauses),
+        "clauses": len(cnf.clauses),
     }
 
 
@@ -131,9 +116,8 @@ def write_json(result: dict) -> None:
 def test_bench_flat(benchmark):
     result = benchmark.pedantic(_measure_with_retry, rounds=1, iterations=1)
     write_json(result)
-    assert result["round_trip_exact"]
     assert result["sim_bit_identical"] and result["encode_identical"]
-    # the flat paths must never lose to the object-walking baselines
+    # the builder-list readers must never lose to the object-walking baselines
     assert result["sim_speedup"] >= 1.0
     assert result["encode_speedup"] >= 1.0
 

@@ -48,11 +48,10 @@ def _mask_leaves(mask: int, universe: List[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-# gate kinds as plain ints (the flat core stores kinds as bytes; comparing
-# against ints keeps IntEnum overhead out of the enumeration loop)
+# gate kinds as plain ints (comparing ints keeps IntEnum overhead out of
+# the enumeration loop)
 _CONST = int(GateType.CONST)
 _PI = int(GateType.PI)
-_XOR = int(GateType.XOR)    # kinds <= _XOR with fanins are binary gates
 
 
 class CutDatabase:
@@ -107,21 +106,12 @@ class CutDatabase:
     def _build(self, nodes, order, choices) -> None:
         ntk = self.ntk
         k = self.k
-        n_total = ntk.num_nodes()
 
-        # the flat struct-of-arrays core: gate kinds and fanin literals as
-        # plain int lists, so the enumeration loop below never touches a
-        # node object or a network method
-        if hasattr(ntk, "flat"):
-            snapshot = ntk.flat
-            kinds = list(snapshot.kind)
-            fanin3 = list(snapshot.fanin)
-        else:  # duck-typed network without the flat core (none in-tree)
-            kinds = [int(ntk.node_type(n)) for n in range(n_total)]
-            fanin3 = []
-            for n in range(n_total):
-                fis = ntk.fanins(n)
-                fanin3 += (fis + (0, 0, 0))[:3]
+        # the builder lists read directly: gate kinds as plain ints and the
+        # fanin-literal tuples, so the enumeration loop below never calls a
+        # network method
+        kinds = list(map(int, ntk._types))
+        fanins = ntk._fanins
 
         todo = None
         if nodes is not None:
@@ -148,8 +138,7 @@ class CutDatabase:
         limit = max(self.cut_limit - 1, 0)
 
         if order is None:
-            order = ntk.topological_order() if hasattr(ntk, "topological_order") \
-                else range(n_total)
+            order = ntk.topological_order()
 
         for node in order:
             if todo is not None and node not in todo:
@@ -171,11 +160,7 @@ class CutDatabase:
                 spans[node] = (start, len(flat_leaves))
                 continue
 
-            base = 3 * node
-            if t <= _XOR:   # binary gate kinds (AND, XOR)
-                fis = (fanin3[base], fanin3[base + 1])
-            else:           # ternary gate kinds (MAJ, XOR3)
-                fis = (fanin3[base], fanin3[base + 1], fanin3[base + 2])
+            fis = fanins[node]
             fanin_phases = [f & 1 for f in fis]
             fanin_ranges = [spans[f >> 1] for f in fis]
 

@@ -180,11 +180,11 @@ class FlowContext:
     def equivalence_session(self, ntk):
         """An :class:`EquivalenceSession` of ``ntk`` over the shared pool.
 
-        Cached per flat structural hash (:meth:`LogicNetwork.structural_hash`
-        — a cheap content hash of the snapshot buffers), so repeated queries
-        against one network reuse the Tseitin encoding, and structurally
-        identical network *objects* — e.g. a copy round-tripped through the
-        flat buffers or rebuilt by a worker — share one session too.  Equal
+        Cached per structural hash (:meth:`LogicNetwork.structural_hash` — a
+        version-cached content hash of the network's builder lists), so
+        repeated queries against one network reuse the Tseitin encoding, and
+        structurally identical network *objects* — e.g. a pickled copy sent
+        back by a batch worker — share one session too.  Equal
         hashes imply identical node numbering, so solver state computed
         against the cached reference is valid for ``ntk``.
         """

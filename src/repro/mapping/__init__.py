@@ -2,7 +2,6 @@
 
 from .engine import (
     CostModel,
-    FunctionCostModel,
     LibraryCostModel,
     MappingCover,
     MappingSession,
@@ -25,7 +24,6 @@ __all__ = [
     "MappingCover",
     "CostModel",
     "UnitCostModel",
-    "FunctionCostModel",
     "NpnCostModel",
     "LibraryCostModel",
     "library_cost_model",

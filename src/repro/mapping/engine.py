@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.choice import ChoiceNetwork
 from ..cuts.cut import Cut
@@ -40,7 +40,6 @@ __all__ = [
     "MappingCover",
     "CostModel",
     "UnitCostModel",
-    "FunctionCostModel",
     "NpnCostModel",
     "LibraryCostModel",
     "library_cost_model",
@@ -213,23 +212,6 @@ class CostModel:
 
 class UnitCostModel(CostModel):
     """K-LUT costs: every cut is one LUT, one level."""
-
-    def cut_cost(self, cut: Cut) -> float:
-        return 1.0
-
-    def cut_delay(self, cut: Cut) -> float:
-        return 1
-
-
-class FunctionCostModel(CostModel):
-    """Adapter for ad-hoc callables (the legacy ``cut_cost_fn`` interface)."""
-
-    def __init__(self, cost_fn: Optional[Callable[[Cut], float]] = None,
-                 delay_fn: Optional[Callable[[Cut], float]] = None):
-        if cost_fn is not None:
-            self.cut_cost = cost_fn  # type: ignore[assignment]
-        if delay_fn is not None:
-            self.cut_delay = delay_fn  # type: ignore[assignment]
 
     def cut_cost(self, cut: Cut) -> float:
         return 1.0

@@ -13,7 +13,6 @@ The covering pipeline, :func:`~repro.mapping.engine.run_cover`, drives these
 consumers:
 
 * :func:`lut_map` — FPGA K-LUT mapping (:class:`~repro.mapping.engine.UnitCostModel`);
-* ASIC pre-selection experiments (custom ``cut_cost_fn``);
 * :mod:`repro.mapping.graph_mapper` — mapping-based logic optimization,
   where the cut cost is the estimated gate count of resynthesizing the cut
   in the target representation.
@@ -24,14 +23,12 @@ database but not this pipeline: it runs its own phase-aware cover.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Union
 
 from ..core.choice import ChoiceNetwork
-from ..cuts.cut import Cut
 from ..networks.base import LogicNetwork
 from ..networks.lut_network import LutNetwork
 from .engine import (
-    FunctionCostModel,
     MappingCover,
     MappingSession,
     UnitCostModel,
@@ -53,9 +50,7 @@ class CutMapper:
 
     def __init__(self, subject: Subject, k: int = 6,
                  cut_limit: int = 8, objective: str = "delay",
-                 flow_iterations: int = 1, exact_iterations: int = 2,
-                 cut_cost_fn: Optional[Callable[[Cut], float]] = None,
-                 cut_delay_fn: Optional[Callable[[Cut], int]] = None):
+                 flow_iterations: int = 1, exact_iterations: int = 2):
         if objective not in ("delay", "area"):
             raise ValueError("objective must be 'delay' or 'area'")
         self.session = MappingSession.of(subject)
@@ -65,10 +60,7 @@ class CutMapper:
         self.objective = objective
         self.flow_iterations = flow_iterations
         self.exact_iterations = exact_iterations
-        if cut_cost_fn is None and cut_delay_fn is None:
-            self.cost_model = UnitCostModel()
-        else:
-            self.cost_model = FunctionCostModel(cut_cost_fn, cut_delay_fn)
+        self.cost_model = UnitCostModel()
 
     def run(self) -> MappingCover:
         return run_cover(

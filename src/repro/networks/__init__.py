@@ -1,7 +1,6 @@
 """Logic-network representations (AIG, XAG, MIG, XMG, mixed)."""
 
 from .base import GateType, LogicNetwork, lit, lit_node, lit_not, lit_phase, rep_view
-from .flat import FlatNetwork
 from .aig import Aig
 from .xag import Xag
 from .mig import Mig
@@ -19,7 +18,6 @@ __all__ = [
     "lit_not",
     "lit_phase",
     "rep_view",
-    "FlatNetwork",
     "Aig",
     "Xag",
     "Mig",

@@ -21,6 +21,8 @@ implements the paper's one-to-one mapping between representations.
 
 from __future__ import annotations
 
+import hashlib
+from array import array
 from enum import IntEnum
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -112,7 +114,7 @@ class LogicNetwork:
         self._fanout_cache: Optional[Tuple[int, List[List[int]]]] = None
         self._fanout_count_cache: Optional[Tuple[int, List[int]]] = None
         self._topo_cache: Optional[Tuple[int, List[int]]] = None
-        self._flat_cache: Optional[Tuple[int, object]] = None
+        self._hash_cache: Optional[Tuple[int, str]] = None
 
     # ------------------------------------------------------------------ #
     # cache maintenance                                                   #
@@ -126,33 +128,45 @@ class LogicNetwork:
     def _touch(self) -> None:
         self._version += 1
 
-    @property
-    def flat(self) -> "FlatNetwork":
-        """The flat struct-of-arrays snapshot of this network.
+    def structural_hash(self) -> str:
+        """Content hash of the DAG (16 hex chars), cached per version.
 
-        Memoized per structural version: hot consumers (cut enumeration,
-        Tseitin encoding, structural hashing) of an
-        unchanged network share one :class:`~repro.networks.flat.FlatNetwork`
-        core.  Treat the snapshot as read-only.
+        Covers representation, gate kinds, fanin literals (three per node,
+        zero-padded), CI order, PO literals and the register lists (RO/RI
+        pairing and init values) — everything that determines the DAG —
+        but not names or the derived levels.  Networks with equal hashes
+        are structurally identical — same node numbering, gates and POs —
+        so caches keyed on this hash (e.g. the flow context's equivalence
+        sessions) can serve rebuilt-but-identical networks without
+        re-encoding.  Integers are hashed as native 8-byte words, so
+        digests are stable within one byte order.
         """
-        cached = self._flat_cache
+        cached = self._hash_cache
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        from .flat import FlatNetwork
-
-        snapshot = FlatNetwork.from_network(self)
-        self._flat_cache = (self._version, snapshot)
-        return snapshot
-
-    def structural_hash(self) -> str:
-        """Cheap content hash of the DAG (via the flat core; version-cached).
-
-        Networks with equal hashes are structurally identical — same node
-        numbering, gates and POs — so caches keyed on this hash (e.g. the
-        flow context's equivalence sessions) can serve rebuilt-but-identical
-        networks without re-encoding.
-        """
-        return self.flat.structural_hash()
+        fanin3 = []
+        for fis in self._fanins:
+            k = len(fis)
+            if k == 2:
+                fanin3 += (fis[0], fis[1], 0)
+            elif k == 3:
+                fanin3 += fis
+            else:
+                fanin3 += (0, 0, 0)
+        m = hashlib.sha256()
+        m.update(type(self).__name__.encode())
+        m.update(b"|%d|%d|%d|%d|" % (len(self._types), len(self._pis),
+                                      len(self._pos), len(self._ro_nodes)))
+        m.update(bytes(map(int, self._types)))
+        m.update(array("q", fanin3).tobytes())
+        m.update(array("q", self._pis).tobytes())
+        m.update(array("q", self._pos).tobytes())
+        m.update(array("q", self._ro_nodes).tobytes())
+        m.update(array("q", self._ri_lits).tobytes())
+        m.update(bytes(self._ro_init))
+        digest = m.hexdigest()[:16]
+        self._hash_cache = (self._version, digest)
+        return digest
 
     def __getstate__(self) -> dict:
         """Pickle without derived caches (they rebuild lazily on demand)."""
@@ -160,7 +174,7 @@ class LogicNetwork:
         state["_fanout_cache"] = None
         state["_fanout_count_cache"] = None
         state["_topo_cache"] = None
-        state["_flat_cache"] = None
+        state["_hash_cache"] = None
         return state
 
     # ------------------------------------------------------------------ #

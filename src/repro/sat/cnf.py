@@ -4,10 +4,9 @@ Consumers normally do not use this directly any more: an
 :class:`~repro.sat.session.EquivalenceSession` owns one builder, encodes each
 network once and answers every subsequent query incrementally.
 
-The encoder walks the network's flat struct-of-arrays snapshot
-(:class:`~repro.networks.flat.FlatNetwork`): gate kinds and fanin literals
-come straight out of contiguous buffers, so clause emission touches no node
-objects.  Variable numbering and clause order are exactly those of the
+The encoder walks the network's own builder lists (``_pis``, ``_types``,
+``_fanins``, ``_pos``) once, so clause emission makes no per-node method
+calls.  Variable numbering and clause order are exactly those of the
 original object-walking encoder — one variable for the constant node, one per
 PI in creation order, then one per gate in topological order, with the gate
 clauses in fixed per-kind order — so encodings (and therefore solver
@@ -19,7 +18,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..networks.base import GateType, LogicNetwork
-from ..networks.flat import FlatNetwork
 
 __all__ = ["CnfBuilder"]
 
@@ -47,39 +45,33 @@ class CnfBuilder:
     def add_clause(self, lits: List[int]) -> None:
         self.clauses.append(list(lits))
 
-    def encode(self, ntk, pi_vars: Dict[int, int] = None) -> Tuple[Dict[int, int], List[int]]:
-        """Encode a network; returns (node→var map, PO signed literals).
-
-        ``ntk`` may be a :class:`LogicNetwork` (its cached flat snapshot is
-        used) or a :class:`FlatNetwork` directly — batch workers that receive
-        flat buffers can encode without rebuilding node objects.
-        """
-        snap = ntk if isinstance(ntk, FlatNetwork) else ntk.flat
+    def encode(self, ntk: LogicNetwork,
+               pi_vars: Dict[int, int] = None) -> Tuple[Dict[int, int], List[int]]:
+        """Encode a network; returns (node→var map, PO signed literals)."""
         clauses = self.clauses
         nv = self.num_vars
         var_of: Dict[int, int] = {}
         nv += 1
         clauses.append([-nv])  # node 0 is constant false
         var_of[0] = nv
-        for i, n in enumerate(snap.pis):
+        for i, n in enumerate(ntk._pis):
             if pi_vars is not None and i in pi_vars:
                 var_of[n] = pi_vars[i]
             else:
                 nv += 1
                 var_of[n] = nv
-        kinds = snap.kind
-        fan = snap.fanin
-        for n, t in enumerate(kinds):
+        fanins = ntk._fanins
+        for n, t in enumerate(map(int, ntk._types)):
             if t < _AND:
                 continue  # PI / constant
             nv += 1
             out = nv
             var_of[n] = out
-            base = 3 * n
-            f = fan[base]
+            fis = fanins[n]
+            f = fis[0]
             v = var_of[f >> 1]
             a = -v if f & 1 else v
-            f = fan[base + 1]
+            f = fis[1]
             v = var_of[f >> 1]
             b = -v if f & 1 else v
             if t == _AND:
@@ -92,7 +84,7 @@ class CnfBuilder:
                 clauses.append([out, -a, b])
                 clauses.append([out, a, -b])
             elif t == _MAJ:
-                f = fan[base + 2]
+                f = fis[2]
                 v = var_of[f >> 1]
                 c = -v if f & 1 else v
                 clauses.append([-out, a, b])
@@ -102,7 +94,7 @@ class CnfBuilder:
                 clauses.append([out, -a, -c])
                 clauses.append([out, -b, -c])
             elif t == _XOR3:
-                f = fan[base + 2]
+                f = fis[2]
                 v = var_of[f >> 1]
                 c = -v if f & 1 else v
                 # out = a ^ b ^ c: forbid all even-parity mismatches
@@ -118,7 +110,7 @@ class CnfBuilder:
                 raise ValueError(f"cannot encode gate type {GateType(t)}")
         self.num_vars = nv
         po_lits = []
-        for p in snap.pos:
+        for p in ntk._pos:
             v = var_of[p >> 1]
             po_lits.append(-v if p & 1 else v)
         return var_of, po_lits

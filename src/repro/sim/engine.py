@@ -33,7 +33,7 @@ from ..networks.base import GateType
 __all__ = ["PatternPool", "SimEngine", "simulate_words", "sim_stats",
            "reset_sim_stats"]
 
-#: flat gate kinds are plain ints ordered (CONST, PI, AND, XOR, MAJ, XOR3),
+#: gate kinds as plain ints are ordered (CONST, PI, AND, XOR, MAJ, XOR3),
 #: so a program opcode is just ``kind - _GATE_MIN``
 _GATE_MIN = int(GateType.AND)
 _XOR = int(GateType.XOR)
@@ -104,78 +104,52 @@ class _Program:
     Entry formats (complement flags are 0/1, applied by a flag-guarded XOR
     with the mask):  AND/XOR: ``(node, a, ac, b, bc)``;
     MAJ/XOR3: ``(node, a, ac, b, bc, c, cc)``.
-    ``flat`` holds ``(opcode, entry)`` in node order for dirty-suffix
+    ``ops`` holds ``(opcode, entry)`` in node order for dirty-suffix
     re-simulation.
     """
 
-    __slots__ = ("levels", "flat", "flat_nodes", "built_nodes")
+    __slots__ = ("levels", "ops", "op_nodes", "built_nodes")
 
     def __init__(self):
         self.levels: List[tuple] = []
-        self.flat: List[tuple] = []
-        #: node id per flat entry (ascending) — for dirty-suffix lookups
-        self.flat_nodes: List[int] = []
+        self.ops: List[tuple] = []
+        #: node id per ``ops`` entry (ascending) — for dirty-suffix lookups
+        self.op_nodes: List[int] = []
         self.built_nodes = 0
 
     def extend(self, ntk) -> None:
         """Append program entries for nodes created since the last build.
 
-        From-scratch builds iterate the network's flat snapshot — plain-int
-        gate kinds and a contiguous fanin-literal array, so the opcode is
-        ``kind - 2`` and no node objects are touched.  Incremental extends
-        walk only the appended suffix of the builder lists, which keeps
-        re-simulation O(delta) instead of re-snapshotting the network.
+        One walk over the builder lists from ``built_nodes`` to the end
+        serves both the from-scratch build and the dirty-suffix extend, so
+        re-simulation after appends stays O(delta).  Gate kinds are read as
+        plain ints, so the opcode is ``kind - 2``.
         """
         levels = self.levels
-        flat = self.flat
+        ops = self.ops
+        op_nodes = self.op_nodes
         start = self.built_nodes
         end = ntk.num_nodes()
-        if start == 0:
-            snap = ntk.flat
-            kinds = snap.kind
-            fan = snap.fanin
-            node_levels = snap.level
-            for n in range(end):
-                t = kinds[n]
-                if t < _GATE_MIN:
-                    continue  # PI / constant
-                base = 3 * n
-                a = fan[base]
-                b = fan[base + 1]
-                if t <= _XOR:
-                    entry = (n, a >> 1, a & 1, b >> 1, b & 1)
-                else:
-                    c = fan[base + 2]
-                    entry = (n, a >> 1, a & 1, b >> 1, b & 1, c >> 1, c & 1)
-                op = t - _GATE_MIN
-                lv = node_levels[n]
-                while len(levels) <= lv:
-                    levels.append(([], [], [], []))
-                levels[lv][op].append(entry)
-                flat.append((op, entry))
-                self.flat_nodes.append(n)
-        else:
-            types = ntk._types
-            fanins = ntk._fanins
-            node_levels = ntk._levels
-            for n in range(start, end):
-                t = types[n]
-                if t == GateType.AND or t == GateType.XOR:
-                    a, b = fanins[n]
-                    entry = (n, a >> 1, a & 1, b >> 1, b & 1)
-                    op = 0 if t == GateType.AND else 1
-                elif t == GateType.MAJ or t == GateType.XOR3:
-                    a, b, c = fanins[n]
-                    entry = (n, a >> 1, a & 1, b >> 1, b & 1, c >> 1, c & 1)
-                    op = 2 if t == GateType.MAJ else 3
-                else:
-                    continue  # PI / constant
-                lv = node_levels[n]
-                while len(levels) <= lv:
-                    levels.append(([], [], [], []))
-                levels[lv][op].append(entry)
-                flat.append((op, entry))
-                self.flat_nodes.append(n)
+        fanins = ntk._fanins
+        node_levels = ntk._levels
+        for n, t in enumerate(map(int, ntk._types[start:end]), start):
+            if t < _GATE_MIN:
+                continue  # PI / constant
+            fis = fanins[n]
+            a = fis[0]
+            b = fis[1]
+            if t <= _XOR:
+                entry = (n, a >> 1, a & 1, b >> 1, b & 1)
+            else:
+                c = fis[2]
+                entry = (n, a >> 1, a & 1, b >> 1, b & 1, c >> 1, c & 1)
+            op = t - _GATE_MIN
+            lv = node_levels[n]
+            while len(levels) <= lv:
+                levels.append(([], [], [], []))
+            levels[lv][op].append(entry)
+            ops.append((op, entry))
+            op_nodes.append(n)
         _GLOBAL_STATS["program_nodes"] += end - start
         self.built_nodes = end
 
@@ -218,12 +192,12 @@ class _Program:
                     vals[n] = vals[a] ^ vals[b] ^ vals[c]
 
     def run_suffix(self, vals: List[int], mask: int, start_index: int) -> None:
-        """Evaluate only the gates at flat positions >= ``start_index``.
+        """Evaluate only the gates at ``ops`` positions >= ``start_index``.
 
-        Node ids are topological (fanins first), so a suffix of the flat
-        program is exactly the dirty cone of the appended nodes.
+        Node ids are topological (fanins first), so a suffix of ``ops`` is
+        exactly the dirty cone of the appended nodes.
         """
-        for op, entry in self.flat[start_index:]:
+        for op, entry in self.ops[start_index:]:
             if op == 0:
                 n, a, ac, b, bc = entry
                 x = vals[a]
@@ -259,7 +233,7 @@ class _Program:
                     vals[n] = vals[a] ^ vals[b] ^ vals[c]
 
 
-#: one-shot program cache: network -> (_Program, flat gate count list not needed)
+#: one-shot program cache: network -> its compiled :class:`_Program`
 _PROGRAMS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -300,7 +274,7 @@ class SimEngine:
     :meth:`signatures` returns the per-node value words over every pattern
     currently in the pool, recomputing only what changed since the last
     refresh: appended patterns are simulated as a narrow delta and OR-merged,
-    appended nodes are simulated via the flat program suffix.  The returned
+    appended nodes are simulated via the program's ``ops`` suffix.  The returned
     list is the engine's working buffer — treat it as read-only.
     """
 
@@ -378,7 +352,7 @@ class SimEngine:
             vals.extend([0] * (nn - len(vals)))
             for i, n in enumerate(pis):
                 vals[n] = pool.words[i] & mask
-            dirty_from = bisect.bisect_left(prog.flat_nodes, self._simmed_nodes)
+            dirty_from = bisect.bisect_left(prog.op_nodes, self._simmed_nodes)
             prog.run_suffix(vals, mask, dirty_from)
             _GLOBAL_STATS["node_incr_sims"] += 1
         self._simmed_nodes = nn

@@ -138,7 +138,7 @@ class TestBatchRunner:
         assert all(o.ok for o in par.outcomes)
 
         def shape(o):
-            return (type(o.network), o.network.flat.structural_hash(),
+            return (type(o.network), o.network.structural_hash(),
                     o.fingerprint)
 
         assert [shape(o) for o in par.outcomes] == \

@@ -1,21 +1,23 @@
-"""The flat struct-of-arrays core: exact round trips, hashes, consumers.
+"""Network storage: exact pickle round trips, structural hashes, CNF pins.
 
-Property coverage for the flat network snapshot layer:
+Every engine reads a :class:`~repro.networks.base.LogicNetwork`'s own
+builder lists (``_types``, ``_fanins``, ``_levels``, ``_pis``, ``_pos``);
+these tests pin what those readers produce:
 
-* ``FlatNetwork.from_network(n).to_network()`` restores a **graph-identical**
-  network — same types, fanins, levels, PI/PO lists and names — across every
-  builtin benchmark suite and randomized networks of every representation
-  (including constant-driven and dangling POs);
-* a network pickle (how networks cross process boundaries) restores the
-  same graph and snapshot bit for bit;
+* a network pickle (how networks cross process boundaries) restores a
+  **graph-identical** network — same types, fanins, levels, PI/PO lists,
+  names and strash table — across every builtin benchmark suite and
+  randomized networks of every representation (including constant-driven
+  and dangling POs);
 * ``structural_hash`` keys content: equal for structurally identical
-  networks in different objects, different after any structural change;
-* the flat-compiled consumers agree with the object walk: Tseitin encoding
-  accepts either a network or its snapshot with identical CNF, and
-  :class:`FlowContext` shares one equivalence session between hash-equal
-  network objects.
+  networks in different objects, cached per structural version, different
+  after any structural change, and pinned to recorded digests;
+* Tseitin encodings and one-shot simulation words are pinned to recorded
+  digests, and :class:`FlowContext` shares one equivalence session between
+  hash-equal network objects.
 """
 
+import hashlib
 import pickle
 import random
 
@@ -23,13 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import state_fingerprint
+from repro.batch import get_suite, state_fingerprint
 from repro.circuits import ALL_BENCHMARKS, build
 from repro.flow import FlowContext
-from repro.networks import Aig, Mig, MixedNetwork, Xag, Xmg
-from repro.networks.flat import FlatNetwork
+from repro.networks import Aig, Mig, MixedNetwork, Xag, Xmg, convert
 from repro.sat import cec
 from repro.sat.cnf import CnfBuilder
+from repro.sim import simulate_words
 
 
 REPS = (Aig, Xag, Mig, Xmg, MixedNetwork)
@@ -50,7 +52,7 @@ def random_network(cls, seed: int, n_pis: int = 5, n_gates: int = 25):
     for i in range(n_gates):
         pick = lambda: rng.choice(lits) ^ rng.randint(0, 1)
         # sprinkle constant fanins: normalization folds them, which is
-        # exactly the kind of irregular graph the snapshot must round-trip
+        # exactly the kind of irregular graph a round trip must preserve
         a = 1 if i % 9 == 3 else pick()
         kind = rng.choice(makers)
         if kind == "and":
@@ -65,7 +67,7 @@ def random_network(cls, seed: int, n_pis: int = 5, n_gates: int = 25):
         ntk.create_po(rng.choice(lits) ^ rng.randint(0, 1))
     ntk.create_po(rng.randint(0, 1))     # constant-driven PO
     # note: most created gates never reach a PO — dangling logic that an
-    # exact snapshot must keep (cleanup() would drop it)
+    # exact round trip must keep (cleanup() would drop it)
     return ntk
 
 
@@ -80,37 +82,69 @@ def assert_graph_identical(a, b):
     assert state_fingerprint(a) == state_fingerprint(b)
 
 
+def pickled(ntk):
+    """A structurally identical twin: a distinct object, same graph."""
+    return pickle.loads(pickle.dumps(ntk))
+
+
+def as_rep(ntk, cls):
+    return ntk if type(ntk) is cls else convert(ntk, cls)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ALL_BENCHMARKS)
     def test_builtin_suites(self, name):
         ntk = build(name, "tiny")
-        back = FlatNetwork.from_network(ntk).to_network()
-        assert_graph_identical(ntk, back)
+        assert_graph_identical(ntk, pickled(ntk))
 
     @pytest.mark.parametrize("cls", REPS)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_random_networks(self, cls, seed):
         ntk = random_network(cls, seed)
-        back = FlatNetwork.from_network(ntk).to_network()
-        assert_graph_identical(ntk, back)
-
-    def test_flat_property_caches_per_version(self):
-        ntk = random_network(Aig, 11)
-        snap = ntk.flat
-        assert ntk.flat is snap                   # unchanged -> same snapshot
-        ntk.create_po(ntk.create_and(2, 4))
-        assert ntk.flat is not snap               # mutation invalidates
+        assert_graph_identical(ntk, pickled(ntk))
 
     @pytest.mark.parametrize("cls", [Aig, Xag, Mig, Xmg, MixedNetwork],
                              ids=lambda cls: cls.__name__)
     def test_pickle_round_trip(self, cls):
         ntk = random_network(cls, 23)
-        snap = ntk.flat
-        back = pickle.loads(pickle.dumps(ntk))
+        digest = ntk.structural_hash()
+        back = pickled(ntk)
         assert type(back) is cls
-        assert back.flat == snap
+        assert back._hash_cache is None           # caches are not pickled
+        assert back.structural_hash() == digest
         assert_graph_identical(ntk, back)
+
+
+#: recorded ``structural_hash`` digests: any change to the hashed bytes or
+#: their order shows here (integers are hashed as native 8-byte words, so
+#: these hold on little-endian machines)
+PINNED_HASHES = {
+    ("ctrl", "Aig"): "1b723badf8e3e01e",
+    ("ctrl", "Xag"): "956417d5a238efb0",
+    ("ctrl", "Mig"): "92aa1aa15d26cb06",
+    ("ctrl", "Xmg"): "c0d1de60f6b36fc0",
+    ("ctrl", "MixedNetwork"): "0a311bb6159670f5",
+    ("dec", "Aig"): "f6a188cdfb30a0f7",
+    ("dec", "Xag"): "679ada9e9a73c2d7",
+    ("dec", "Mig"): "0ff4688068e42e7d",
+    ("dec", "Xmg"): "4a0741fcc3eef29a",
+    ("dec", "MixedNetwork"): "915564fd1b9499db",
+    ("router", "Aig"): "4d5a306aa3596f9d",
+    ("router", "Xag"): "03c03ffa3c4d4d41",
+    ("router", "Mig"): "22035adc58466fb5",
+    ("router", "Xmg"): "d6a9210c2372cdaf",
+    ("router", "MixedNetwork"): "f99517c1be4ec58a",
+}
+
+#: seq-mini suite entries -> recorded ``structural_hash`` digests
+PINNED_SEQ_HASHES = {
+    "counter-w4": "93f56a318544d900",
+    "shiftreg-d6": "5e9ab2796400a11c",
+    "lfsr-w5": "34b2d32ce13125ef",
+    "pipeline-w4s2": "dd3696008d37b1aa",
+    "fsm-1101": "08b0fc520683ba84",
+}
 
 
 class TestStructuralHash:
@@ -119,17 +153,25 @@ class TestStructuralHash:
         b = random_network(Aig, 7)
         assert a is not b
         assert a.structural_hash() == b.structural_hash()
-        assert a.structural_hash() == a.flat.structural_hash()
 
     def test_round_trip_preserves_hash(self):
         ntk = random_network(Xag, 3)
-        assert ntk.flat.to_network().structural_hash() == ntk.structural_hash()
+        assert pickled(ntk).structural_hash() == ntk.structural_hash()
 
     def test_any_structural_change_changes_hash(self):
         ntk = random_network(Aig, 9)
         before = ntk.structural_hash()
         ntk.create_po(ntk.create_and(2, 5))
         assert ntk.structural_hash() != before
+
+    def test_hash_cached_per_version(self):
+        ntk = random_network(Aig, 11)
+        digest = ntk.structural_hash()
+        assert ntk._hash_cache == (ntk.version, digest)
+        assert ntk.structural_hash() is digest    # unchanged -> cached
+        ntk.create_po(ntk.create_and(2, 4))
+        assert ntk.structural_hash() != digest    # mutation invalidates
+        assert ntk._hash_cache[0] == ntk.version
 
     def test_rep_distinguishes_hashes(self):
         # same PI-only structure, different representation class
@@ -138,28 +180,78 @@ class TestStructuralHash:
             n.create_po(n.create_pi("x"))
         assert a.structural_hash() != m.structural_hash()
 
+    @pytest.mark.parametrize("name,rep", sorted(PINNED_HASHES),
+                             ids=lambda v: str(v))
+    def test_pinned_digests(self, name, rep):
+        cls = {c.__name__: c for c in REPS}[rep]
+        ntk = as_rep(build(name, "tiny"), cls)
+        assert ntk.structural_hash() == PINNED_HASHES[(name, rep)]
+
+    def test_pinned_sequential_digests(self):
+        got = {e.name: e.build("tiny").structural_hash()
+               for e in get_suite("seq-mini").entries}
+        assert got == PINNED_SEQ_HASHES
+
+
+def cnf_digest(ntk) -> str:
+    """sha256 prefix over the variable count, clauses, var map and PO literals."""
+    builder = CnfBuilder()
+    var_of, po_lits = builder.encode(ntk)
+    payload = (builder.num_vars, builder.clauses, sorted(var_of.items()), po_lits)
+    return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
+
+
+def sim_digest(ntk) -> str:
+    """sha256 prefix over :func:`simulate_words` on a seeded 256-bit stimulus."""
+    rng = random.Random(7)
+    patterns = [rng.getrandbits(256) for _ in range(ntk.num_pis())]
+    words = simulate_words(ntk, patterns, (1 << 256) - 1)
+    return hashlib.sha256(repr(words).encode()).hexdigest()[:16]
+
+
+#: case -> (network builder, CNF digest, simulation digest); a change to
+#: variable numbering, clause order or simulated words shows here
+PINNED_READERS = {
+    "ctrl-Aig": (lambda: build("ctrl", "tiny"),
+                 "7a64f2af6412dbd2", "fc18bf7c00d5f644"),
+    "router-Xag": (lambda: convert(build("router", "tiny"), Xag),
+                   "f535941dca9c58e4", "2fbb3a0ddc3c71c4"),
+    "int2float-Xmg": (lambda: convert(build("int2float", "tiny"), Xmg),
+                      "e3a93b96534f766f", "1eb450bdc90941d3"),
+    # AND, XOR, MAJ and XOR3 gates in one network
+    "random-MixedNetwork": (lambda: random_network(MixedNetwork, 5, n_gates=60),
+                            "f92267a059fa8213", "9cb38043a15b6561"),
+}
+
+
+class TestReaderDigests:
+    @pytest.mark.parametrize("case", sorted(PINNED_READERS))
+    def test_cnf_encoding_pinned(self, case):
+        make, cnf, _ = PINNED_READERS[case]
+        assert cnf_digest(make()) == cnf
+
+    @pytest.mark.parametrize("case", sorted(PINNED_READERS))
+    def test_simulation_pinned(self, case):
+        make, _, sim = PINNED_READERS[case]
+        assert sim_digest(make()) == sim
+
+    def test_mixed_case_covers_every_gate_kind(self):
+        make = PINNED_READERS["random-MixedNetwork"][0]
+        assert {int(t) for t in make()._types} == {0, 1, 2, 3, 4, 5}
+
 
 class TestFlatConsumers:
-    def test_encode_accepts_network_or_snapshot(self):
-        ntk = build("ctrl", "tiny")
-        ba, bb = CnfBuilder(), CnfBuilder()
-        va, pa = ba.encode(ntk)
-        vb, pb = bb.encode(ntk.flat)
-        assert ba.num_vars == bb.num_vars
-        assert ba.clauses == bb.clauses
-        assert dict(va) == dict(vb) and list(pa) == list(pb)
-
     def test_context_shares_session_between_hash_equal_objects(self):
         ctx = FlowContext()
         ntk = build("int2float", "tiny")
-        twin = ntk.flat.to_network()    # same structure, different object
+        twin = pickled(ntk)               # same structure, different object
         s1 = ctx.equivalence_session(ntk)
         s2 = ctx.equivalence_session(twin)
         assert s1 is s2
 
     def test_cec_accepts_hash_equal_session_reference(self):
         ntk = build("router", "tiny")
-        twin = ntk.flat.to_network()
+        twin = pickled(ntk)
         ctx = FlowContext()
         session = ctx.equivalence_session(ntk)
         # sim_limit=0 forces the SAT path through the injected session even
@@ -173,4 +265,4 @@ class TestFlatConsumers:
         ctx = FlowContext()
         session = ctx.equivalence_session(other)
         with pytest.raises(ValueError):
-            cec(ntk, ntk.flat.to_network(), sim_limit=0, session=session)
+            cec(ntk, pickled(ntk), sim_limit=0, session=session)

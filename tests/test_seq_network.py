@@ -1,4 +1,4 @@
-"""Register support in the network core: API, copies, flat transport."""
+"""Register support in the network core: API, copies, pickle transport."""
 
 import pickle
 
@@ -7,7 +7,6 @@ import pytest
 from repro.circuits import SEQUENTIAL, build
 from repro.networks import Aig
 from repro.networks.base import require_combinational
-from repro.networks.flat import FlatNetwork
 
 
 def two_bit_counter() -> Aig:
@@ -123,26 +122,13 @@ class TestSequentialCopies:
 
 
 class TestFlatTransport:
-    def test_flat_roundtrip_preserves_registers(self):
-        for name in SEQUENTIAL:
-            ntk = build(name, "tiny")
-            back = FlatNetwork.from_network(ntk).to_network()
-            assert back.num_registers() == ntk.num_registers(), name
-            assert back.registers == ntk.registers, name
-            assert back.structural_hash() == ntk.structural_hash(), name
-
-    def test_flat_pickle_bit_exact(self):
-        flat = FlatNetwork.from_network(two_bit_counter())
-        back = pickle.loads(pickle.dumps(flat))
-        assert len(back.ros) == 2
-        assert back == flat
-        assert back.structural_hash() == flat.structural_hash()
-
     def test_pickle_transport(self):
-        ntk = two_bit_counter()
-        back = pickle.loads(pickle.dumps(ntk))
-        assert back.registers == ntk.registers
-        assert back.flat == ntk.flat
+        for ntk in [two_bit_counter()] + [build(name, "tiny")
+                                          for name in SEQUENTIAL]:
+            back = pickle.loads(pickle.dumps(ntk))
+            assert back.num_registers() == ntk.num_registers(), ntk
+            assert back.registers == ntk.registers, ntk
+            assert back.structural_hash() == ntk.structural_hash(), ntk
 
     def test_hash_distinguishes_init_values(self):
         a = two_bit_counter()
