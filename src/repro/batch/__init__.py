@@ -24,9 +24,8 @@ suite-throughput machine:
   interrupted runs leave a resumable prefix.  Runs carry a stable
   :func:`~repro.batch.store.run_key` (flow + suite + scale + input
   fingerprints): ``run(..., resume=True)`` skips circuits already ``ok``
-  under the key, and ``cooperate=True`` claims circuits through the store
-  so several runner processes share one suite.
-  :meth:`~repro.batch.store.ResultStore.compare` diffs runs bit-for-bit.
+  under the key.  :meth:`~repro.batch.store.ResultStore.compare` diffs
+  runs bit-for-bit.
   Appends are disk-safe: an ENOSPC/short write is rolled back
   (:class:`~repro.batch.store.StoreWriteError`) so the file keeps a clean
   resumable prefix.  The store also holds the circuit breaker's

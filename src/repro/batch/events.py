@@ -2,9 +2,8 @@
 
 The runner narrates every circuit's life cycle through a pluggable sink:
 a plain callable invoked with one :class:`RunEvent` per transition.  The
-stream is the integration point the serve daemon and the watch TUI both
-consume (see ROADMAP) — and what the kill-and-resume smoke reads to find
-worker pids.
+serve daemon records the same events per job, and the kill-and-resume
+smoke reads the stream to find worker pids.
 
 Event kinds:
 
@@ -19,8 +18,8 @@ Event kinds:
              exhausted (or disabled)
 ``skipped``  a resumed run found an ``ok`` record under the same run key
              and did not re-execute the circuit
-``claimed``  a cooperating runner holds the circuit's claim, so this
-             runner yielded it
+``claimed``  serve only: a submission was coalesced onto an identical
+             in-flight job and will share its result
 ``oom``      the circuit exceeded its memory budget — either the worker
              reported :class:`MemoryError` under ``RLIMIT_AS`` or the
              supervisor's RSS poll killed it (``detail`` says which)
@@ -47,10 +46,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Union
 
+from .store import read_jsonl
+
 __all__ = ["RunEvent", "EventLog", "JsonlEventSink", "EVENT_KINDS",
            "read_events", "event_sink"]
 
-#: every event kind the runner emits, in rough life-cycle order
+#: every event kind the runner and the serve daemon emit, in rough
+#: life-cycle order
 EVENT_KINDS = ("started", "finished", "retried", "timeout", "crashed",
                "skipped", "claimed", "oom", "quarantined", "sink_disabled")
 
@@ -68,6 +70,21 @@ class RunEvent:
     worker: int = 0                     # pid of the worker involved
     detail: str = ""                    # human-readable context
     at: float = 0.0                     # epoch timestamp (set by the runner)
+
+    @classmethod
+    def of(cls, kind: str, *, outcome=None, payload: Optional[dict] = None,
+           worker: int = 0, seconds: float = 0.0,
+           detail: str = "") -> "RunEvent":
+        """The ``kind`` event, stamped now, about a finished ``outcome``
+        (its attempt, status, time and worker) or else a job ``payload``."""
+        if outcome is not None:
+            return cls(kind=kind, circuit=outcome.name, index=outcome.index,
+                       attempt=outcome.attempts, status=outcome.status,
+                       seconds=outcome.seconds, worker=outcome.worker,
+                       detail=detail, at=time.time())
+        return cls(kind=kind, circuit=payload["name"], index=payload["index"],
+                   attempt=payload.get("attempt", 1), seconds=seconds,
+                   worker=worker, detail=detail, at=time.time())
 
     def to_dict(self) -> dict:
         """The JSON-serializable form of this event."""
@@ -191,18 +208,7 @@ def event_sink(path: Optional[Union[str, Path]]) -> Optional[JsonlEventSink]:
 
 
 def read_events(path: Union[str, Path]) -> List[dict]:
-    """Read a :class:`JsonlEventSink` file back as dicts, tolerating a
-    truncated final line (the writer may have died mid-append)."""
-    out: List[dict] = []
-    lines = Path(path).read_text().splitlines()
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                continue
-            raise
-    return out
+    """Read a :class:`JsonlEventSink` file back as dicts; a truncated final
+    line (the writer died mid-append) warns and is skipped, as in the
+    result store (:func:`~repro.batch.store.read_jsonl`)."""
+    return read_jsonl(path)

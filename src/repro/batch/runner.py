@@ -25,25 +25,21 @@ Guarantees:
   workload; ``run(..., resume=True)`` skips circuits that already have
   ``ok`` records under the same key and copies them forward, so a killed
   run restarted over the same store converges to bit-identical results;
-* **cooperation** — ``run(..., cooperate=True)`` claims each circuit
-  through the store's append-only JSONL before dispatching it, letting
-  multiple runner processes share one suite without duplicated work;
 * **resource governance** — ``memory_limit`` applies ``RLIMIT_AS`` inside
   every pool worker (and an RSS poll in the supervisor as the fallback for
   platforms or workloads the rlimit cannot see), turning a memory-hungry
   circuit into exactly one final ``oom`` outcome instead of a host-wide
   OOM kill; a circuit failing *identically* across ``quarantine_after``
   runs is recorded as quarantined in the store and skipped by later
-  resumed/cooperative runs until ``requarantine=True`` clears it;
+  resumed runs until ``requarantine=True`` clears it;
 * **reproducibility metadata** — every outcome carries wall time, cost
   before/after, pass count and a structural fingerprint
   (:func:`state_fingerprint`) so two runs can be diffed bit-for-bit by
   :meth:`~repro.batch.store.ResultStore.compare`.
 
 A pluggable event sink (:class:`~repro.batch.events.RunEvent`) narrates
-``started`` / ``retried`` / ``timeout`` / ``crashed`` / ``finished`` /
-``skipped`` / ``claimed`` transitions — the hook the serve daemon and the
-watch TUI consume.
+``started`` / ``retried`` / ``timeout`` / ``crashed`` / ``oom`` /
+``finished`` / ``skipped`` / ``quarantined`` transitions.
 """
 
 from __future__ import annotations
@@ -197,9 +193,8 @@ class CircuitOutcome:
     raised), ``crashed`` (the worker process died mid-circuit), ``timeout``
     (the circuit exceeded the hard per-circuit timeout and its worker was
     killed), ``oom`` (the circuit exceeded its memory budget — final,
-    never retried by default), ``quarantined`` (the circuit breaker
-    skipped it on a resumed run) or ``claimed`` (a cooperating runner
-    holds the circuit).
+    never retried by default) or ``quarantined`` (the circuit breaker
+    skipped it on a resumed run).
     """
 
     name: str
@@ -227,7 +222,7 @@ class CircuitOutcome:
 
     @property
     def failed(self) -> bool:
-        """Whether this outcome counts as a run failure (``claimed`` and
+        """Whether this outcome counts as a run failure (quarantined and
         resumed outcomes do not)."""
         return self.status in _FAILURE_STATUSES
 
@@ -423,7 +418,7 @@ class BatchRunner:
     * ``quarantine_after`` — the circuit breaker: a circuit that fails
       with the same :func:`~repro.batch.store.failure_signature` in this
       many runs under one run key is recorded as quarantined in the
-      store; resumed/cooperative runs then skip it (with a
+      store; resumed runs then skip it (with a
       ``quarantined`` event) until ``run(..., requarantine=True)``
       clears it.  ``0`` disables the breaker.
 
@@ -440,7 +435,6 @@ class BatchRunner:
                  timeout: Optional[float] = None, retries: int = 0,
                  backoff: float = 0.5, order: str = "suite",
                  events: Optional[Callable] = None, faults=None,
-                 claim_ttl: Optional[float] = None, owner: str = "",
                  memory_limit: Union[int, str, None] = None,
                  quarantine_after: int = 2):
         if jobs < 1:
@@ -471,17 +465,13 @@ class BatchRunner:
         self.order = order
         self.events = events
         self.faults = faults
-        self.claim_ttl = claim_ttl
-        import socket
-
-        self.owner = owner or f"{socket.gethostname()}:{os.getpid()}"
 
     # -- flow batches --------------------------------------------------------
 
     def run(self, circuits: Union[Suite, Iterable], flow,
             *, scale: Optional[str] = None, store=None,
             store_meta: Optional[dict] = None, resume: bool = False,
-            cooperate: bool = False, requarantine: bool = False) -> BatchResult:
+            requarantine: bool = False) -> BatchResult:
         """Run one flow over a suite / circuit list; returns a
         :class:`BatchResult` with outcomes in suite order.
 
@@ -493,10 +483,8 @@ class BatchRunner:
         interrupted run leaves a resumable prefix.
 
         ``resume=True`` skips circuits that already have ``ok`` records
-        under the same run key (copying them forward into this run);
-        ``cooperate=True`` claims each circuit through the store before
-        dispatching it so concurrent runners share the suite.  Both need
-        ``store``, and both honor the circuit breaker: circuits recorded
+        under the same run key (copying them forward into this run).  It
+        needs ``store``, and honors the circuit breaker: circuits recorded
         as quarantined under the run key are skipped (a ``quarantined``
         outcome + event), unless ``requarantine=True`` first clears the
         quarantine records and lets every circuit run again.
@@ -515,8 +503,8 @@ class BatchRunner:
 
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)
-        if (resume or cooperate) and store is None:
-            raise ValueError("resume/cooperate need a result store")
+        if resume and store is None:
+            raise ValueError("resume needs a result store")
         if requarantine and store is None:
             raise ValueError("requarantine needs a result store")
         if self.events is not None and hasattr(self.events, "rearm"):
@@ -567,7 +555,7 @@ class BatchRunner:
                                   f"(run {outcome.resumed_from})")
                 finalize(outcome)
             payloads = todo
-        if (resume or cooperate) and self.quarantine_after:
+        if resume and self.quarantine_after:
             held = store.quarantined(key)
             todo = []
             for p in payloads:
@@ -588,11 +576,10 @@ class BatchRunner:
         if self.order == "largest":
             payloads = self._order_largest(payloads)
 
-        claims = (store, key) if cooperate else None
         if self.jobs > 1 and len(payloads) > 1:
-            self._run_pool(payloads, finalize, claims)
+            self._run_pool(payloads, finalize)
         else:
-            self._run_sequential(payloads, finalize, claims)
+            self._run_sequential(payloads, finalize)
         wall = time.perf_counter() - t0
         result = BatchResult(flow=flow_text, scale=scale, jobs=self.jobs,
                              outcomes=[outcomes[i] for i in sorted(outcomes)],
@@ -652,7 +639,7 @@ class BatchRunner:
         sized.sort(key=lambda t: (-t[0], t[1]["index"]))
         return [p for _, p in sized]
 
-    # -- event / claim plumbing ----------------------------------------------
+    # -- event plumbing ------------------------------------------------------
 
     def _emit(self, kind: str, outcome: Optional[CircuitOutcome] = None, *,
               payload: Optional[dict] = None, worker: int = 0,
@@ -660,39 +647,12 @@ class BatchRunner:
         """Send one event to the sink; a broken sink never kills the run."""
         if self.events is None:
             return
-        if outcome is not None:
-            event = RunEvent(kind=kind, circuit=outcome.name,
-                             index=outcome.index, attempt=outcome.attempts,
-                             status=outcome.status, seconds=outcome.seconds,
-                             worker=outcome.worker, detail=detail,
-                             at=time.time())
-        else:
-            event = RunEvent(kind=kind, circuit=payload["name"],
-                             index=payload["index"],
-                             attempt=payload.get("attempt", 1),
-                             seconds=seconds, worker=worker, detail=detail,
-                             at=time.time())
+        event = RunEvent.of(kind, outcome=outcome, payload=payload,
+                            worker=worker, seconds=seconds, detail=detail)
         try:
             self.events(event)
         except Exception as exc:
             warnings.warn(f"batch event sink failed on {kind!r}: {exc}")
-
-    def _claim_or_yield(self, claims, payload) -> Optional[CircuitOutcome]:
-        """Try to claim a circuit; returns a ``claimed`` outcome on loss."""
-        if claims is None:
-            return None
-        store, key = claims
-        won, winner = store.claim(key, payload["name"], owner=self.owner,
-                                  ttl=self.claim_ttl)
-        if won:
-            return None
-        outcome = CircuitOutcome(
-            name=payload["name"], index=payload["index"], status="claimed",
-            attempts=payload.get("attempt", 1),
-            error=f"claimed by {winner.get('owner', '?')}")
-        self._emit("claimed", outcome,
-                   detail=f"held by {winner.get('owner', '?')}")
-        return outcome
 
     def _resumed_outcome(self, payload: dict, rec: dict) -> CircuitOutcome:
         """Rehydrate a prior ``ok`` record into this run's outcome."""
@@ -715,8 +675,9 @@ class BatchRunner:
                           outcome: CircuitOutcome) -> None:
         """Trip the circuit breaker when a failure keeps repeating.
 
-        Called after ``outcome``'s record was appended: counts the runs
-        under ``key`` whose record for this circuit carries the same
+        Called after ``outcome``'s record was appended: asks the store how
+        many runs under ``key`` since its last ``requarantine`` recorded
+        this circuit failing with the same
         :func:`~repro.batch.store.failure_signature` (the just-written
         record included), and appends a quarantine line once the count
         reaches ``quarantine_after``.  Store trouble only warns — the
@@ -729,16 +690,7 @@ class BatchRunner:
 
         try:
             sig = failure_signature(outcome.status, outcome.error)
-            repeats = 0
-            for run in store.runs():
-                if run.run_key != key:
-                    continue
-                rec = run.results.get(outcome.name)
-                if (rec is not None
-                        and rec.get("status") in _FAILURE_STATUSES
-                        and failure_signature(rec.get("status", ""),
-                                              rec.get("error", "")) == sig):
-                    repeats += 1
+            repeats = store.failure_repeats(key, outcome.name, sig)
             if repeats < self.quarantine_after or \
                     outcome.name in store.quarantined(key):
                 return
@@ -777,12 +729,8 @@ class BatchRunner:
 
     # -- in-process execution ------------------------------------------------
 
-    def _run_sequential(self, payloads: List[dict], finalize, claims) -> None:
+    def _run_sequential(self, payloads: List[dict], finalize) -> None:
         for payload in payloads:
-            yielded = self._claim_or_yield(claims, payload)
-            if yielded is not None:
-                finalize(yielded)
-                continue
             retry = (0.0, payload)
             while retry is not None:
                 delay, payload = retry
@@ -794,7 +742,7 @@ class BatchRunner:
 
     # -- supervised worker pool ----------------------------------------------
 
-    def _run_pool(self, payloads: List[dict], finalize, claims) -> None:
+    def _run_pool(self, payloads: List[dict], finalize) -> None:
         """Drive a :class:`~repro.batch.pool.WorkerPool`: dispatch in
         order, settle outcomes as they arrive, hold retries for their
         backoff.  The pool pins every circuit to the worker executing it,
@@ -811,10 +759,6 @@ class BatchRunner:
                 delayed = [(t, p) for t, p in delayed if t > now]
                 while queue and pool.ready:
                     payload = queue.popleft()
-                    yielded = self._claim_or_yield(claims, payload)
-                    if yielded is not None:
-                        finalize(yielded)
-                        continue
                     pid = pool.submit(payload, timeout=self.timeout)
                     self._emit("started", payload=payload, worker=pid)
                 if not pool.busy and not delayed:

@@ -4,22 +4,18 @@ Every batch invocation appends one ``run`` header line (flow script, suite,
 scale, jobs, git revision, run key) followed by one ``result`` line per
 circuit (status, cost, structural fingerprint, seconds, worker pid) and a
 closing ``end`` line (wall time, failure count).  The file is plain
-JSON-lines: greppable, diffable, safe to append to from successive runs —
-and from *concurrent* runs, which is what makes it double as the
-coordination medium for fault tolerance:
+JSON-lines: greppable, diffable, safe to append to from successive runs,
+and it is what resume and the circuit breaker coordinate through:
 
 * **crash-safe appends** — every record is flushed and fsynced as it is
   written, so a run killed mid-suite leaves a readable prefix; the reader
   tolerates (and reports) a truncated final line instead of rejecting the
-  whole file;
+  whole file (:func:`read_jsonl`, also the reader of event streams);
 * **run keys** — :func:`run_key` derives a stable identity from the flow
   script, suite, scale and per-circuit input fingerprints; a restarted run
   under the same key can skip circuits that already have ``ok`` records
-  (:meth:`ResultStore.completed`);
-* **claims** — :meth:`ResultStore.claim` appends an advisory claim line;
-  first claim in file order wins, so multiple runner processes can share
-  one suite without duplicating work (appends of one JSON line are atomic
-  on POSIX).
+  (:meth:`ResultStore.completed`), and the circuit breaker counts and
+  records repeated failures per key (:meth:`ResultStore.quarantined`).
 
 :meth:`ResultStore.compare` diffs two runs circuit by circuit and reports
 quality regressions, result divergences (fingerprint mismatches at equal
@@ -41,7 +37,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["ResultStore", "RunInfo", "Comparison", "StoreWriteError",
-           "git_revision", "run_key", "failure_signature"]
+           "git_revision", "run_key", "failure_signature", "read_jsonl"]
 
 _GIT_REV_CACHE: Dict[str, str] = {}
 
@@ -95,7 +91,7 @@ def run_key(flow: str, suite: str, scale: str,
     Two invocations share a run key iff they would do the same work: same
     canonical flow script, suite name, scale, and the same per-circuit
     input fingerprints (name → content hash pairs; order-insensitive).
-    The key is what resume and cooperative claims coordinate on.
+    The key is what resume and the circuit breaker coordinate on.
     """
     payload = json.dumps({"flow": flow, "suite": suite, "scale": scale,
                           "inputs": sorted((str(n), str(f)) for n, f in inputs)},
@@ -209,6 +205,33 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[written:]
 
 
+def read_jsonl(path: Union[str, Path]) -> List[dict]:
+    """All parseable records of a JSON-lines file, tolerating a truncated
+    final line (``[]`` when the file does not exist).
+
+    A writer killed mid-append can leave a torn last line; that is
+    reported (a warning) and skipped.  Corruption anywhere *else* raises
+    :class:`ValueError` — it means the file was damaged, not interrupted.
+    """
+    path = Path(path)
+    if not path.exists():
+        return []
+    lines = [(i, line.strip()) for i, line in
+             enumerate(path.read_text().splitlines()) if line.strip()]
+    out: List[dict] = []
+    for pos, (lineno, line) in enumerate(lines):
+        try:
+            out.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            if pos == len(lines) - 1:
+                warnings.warn(f"{path}: ignoring truncated final record "
+                              f"(line {lineno + 1}): {exc}")
+                continue
+            raise ValueError(f"{path}: corrupt record at line {lineno + 1}: "
+                             f"{exc}") from exc
+    return out
+
+
 class ResultStore:
     """Append-only JSONL store of batch runs (see the module docstring)."""
 
@@ -225,9 +248,7 @@ class ResultStore:
         quota, I/O error) is rolled back by truncating the file to its
         pre-append length, then surfaced as :class:`StoreWriteError`.  The
         *record* fails; the *file* keeps a clean resumable prefix.  (The
-        rollback assumes no concurrent appender raced into the torn tail —
-        concurrent runners only ever append whole lines, and a writer that
-        hit ENOSPC will find its cooperating peers hitting it too.)
+        rollback assumes no concurrent appender raced into the torn tail.)
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         data = "".join(line + "\n" for line in lines).encode()
@@ -331,7 +352,7 @@ class ResultStore:
     def append_cache(self, record: dict) -> None:
         """Durably append one content-addressed cache entry (``kind:
         "cache"``) — the serve daemon's persistence layer.  ``record``
-        must carry the ``cache_key``; cache lines coexist with run/claim
+        must carry the ``cache_key``; cache lines coexist with run
         lines in the same JSONL file and are invisible to :meth:`runs`.
         """
         rec = dict(record)
@@ -344,38 +365,8 @@ class ResultStore:
         A restarted serve daemon replays these to warm its in-memory
         index; later entries for the same ``cache_key`` win.
         """
-        return [rec for rec in self._records() if rec.get("kind") == "cache"]
-
-    # -- claims (cooperative runners) ----------------------------------------
-
-    def claim(self, run_key: str, circuit: str, *, owner: str,
-              ttl: Optional[float] = None) -> Tuple[bool, dict]:
-        """Claim one circuit of a shared workload; returns ``(won, winner)``.
-
-        Appends an advisory claim line, then reads the file back: the
-        *first* claim in file order wins (appends are atomic, so every
-        cooperating process resolves the same winner).  ``ttl`` ignores
-        claims older than that many seconds — the escape hatch for claims
-        leaked by a runner that died without completing its circuit.
-        """
-        rec = {"kind": "claim", "run_key": run_key, "circuit": circuit,
-               "owner": owner, "claim_id": os.urandom(6).hex(),
-               "time": round(time.time(), 3)}
-        self._append([json.dumps(rec)])
-        winner = self.claims(run_key, ttl=ttl).get(circuit, rec)
-        return winner.get("claim_id") == rec["claim_id"], winner
-
-    def claims(self, run_key: str, *, ttl: Optional[float] = None) -> Dict[str, dict]:
-        """The winning (first, non-stale) claim per circuit under a run key."""
-        now = time.time()
-        out: Dict[str, dict] = {}
-        for rec in self._records():
-            if rec.get("kind") != "claim" or rec.get("run_key") != run_key:
-                continue
-            if ttl is not None and now - float(rec.get("time", 0.0)) > ttl:
-                continue
-            out.setdefault(rec["circuit"], rec)
-        return out
+        return [rec for rec in read_jsonl(self.path)
+                if rec.get("kind") == "cache"]
 
     # -- quarantine (circuit breaker) ----------------------------------------
 
@@ -385,8 +376,8 @@ class ResultStore:
 
         The circuit breaker's trip record: the runner appends one when a
         circuit has failed identically (same :func:`failure_signature`)
-        across its threshold of runs.  Resumed and cooperative runs skip
-        quarantined circuits until :meth:`requarantine` clears them.
+        across its threshold of runs.  Resumed runs skip quarantined
+        circuits until :meth:`requarantine` clears them.
         """
         self._append([json.dumps({
             "kind": "quarantine", "run_key": run_key, "circuit": circuit,
@@ -394,20 +385,17 @@ class ResultStore:
             "runs": runs, "time": round(time.time(), 3),
         })])
 
-    def requarantine(self, run_key: str,
-                     circuits: Optional[Sequence[str]] = None) -> None:
-        """Clear quarantine records under ``run_key`` (append, don't erase).
+    def requarantine(self, run_key: str) -> None:
+        """Clear every quarantine record under ``run_key`` (append, don't
+        erase).
 
-        ``circuits=None`` clears every quarantined circuit; a list clears
-        only those named.  Appended as a ``requarantine`` line so the
-        breaker's history stays auditable — a circuit that trips again
-        after being cleared is simply quarantined again by a later line.
+        Appended as a ``requarantine`` line so the breaker's history stays
+        auditable — a circuit that trips again after being cleared is
+        simply quarantined again by a later line.  The line also restarts
+        the breaker's count (:meth:`failure_repeats`).
         """
-        rec = {"kind": "requarantine", "run_key": run_key,
-               "time": round(time.time(), 3)}
-        if circuits is not None:
-            rec["circuits"] = sorted(circuits)
-        self._append([json.dumps(rec)])
+        self._append([json.dumps({"kind": "requarantine", "run_key": run_key,
+                                  "time": round(time.time(), 3)})])
 
     def quarantined(self, run_key: str) -> Dict[str, dict]:
         """Circuit → its live quarantine record under ``run_key``.
@@ -417,55 +405,42 @@ class ResultStore:
         ``requarantine`` line do not appear.
         """
         out: Dict[str, dict] = {}
-        for rec in self._records():
+        for rec in read_jsonl(self.path):
             kind = rec.get("kind")
             if rec.get("run_key") != run_key:
                 continue
             if kind == "quarantine":
                 out[rec["circuit"]] = rec
             elif kind == "requarantine":
-                cleared = rec.get("circuits")
-                if cleared is None:
-                    out.clear()
-                else:
-                    for circuit in cleared:
-                        out.pop(circuit, None)
+                out.clear()
         return out
+
+    def failure_repeats(self, run_key: str, circuit: str,
+                        signature: str) -> int:
+        """The circuit breaker's count: runs under ``run_key`` whose latest
+        record for ``circuit`` fails with ``signature``, replayed in file
+        order since the key's last ``requarantine`` line."""
+        runs = set()
+        matched: Dict[str, bool] = {}      # run id -> its record matches
+        for rec in read_jsonl(self.path):
+            kind = rec.get("kind")
+            if kind == "run" and rec.get("run_key") == run_key:
+                runs.add(rec["run_id"])
+            elif kind == "requarantine" and rec.get("run_key") == run_key:
+                matched.clear()
+            elif (kind == "result" and rec.get("run_id") in runs
+                  and rec.get("circuit") == circuit):
+                matched[rec["run_id"]] = failure_signature(
+                    rec.get("status", ""), rec.get("error", "")) == signature
+        return sum(matched.values())
 
     # -- reading -------------------------------------------------------------
-
-    def _records(self) -> List[dict]:
-        """All parseable records, tolerating a truncated final line.
-
-        A writer killed mid-append can leave a torn last line; that is
-        reported (a warning) and skipped.  Corruption anywhere *else*
-        still raises — it means the file was damaged, not interrupted.
-        """
-        if not self.path.exists():
-            return []
-        lines = [(i, line.strip())
-                 for i, line in enumerate(self.path.read_text().splitlines())
-                 if line.strip()]
-        out: List[dict] = []
-        for pos, (lineno, line) in enumerate(lines):
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                if pos == len(lines) - 1:
-                    warnings.warn(
-                        f"{self.path}: ignoring truncated final record "
-                        f"(line {lineno + 1}): {exc}")
-                    continue
-                raise ValueError(
-                    f"{self.path}: corrupt record at line {lineno + 1}: "
-                    f"{exc}") from exc
-        return out
 
     def runs(self) -> List[RunInfo]:
         """All recorded runs in file (chronological) order."""
         runs: Dict[str, RunInfo] = {}
         order: List[str] = []
-        for rec in self._records():
+        for rec in read_jsonl(self.path):
             kind = rec.get("kind")
             if kind == "run":
                 runs[rec["run_id"]] = RunInfo(run_id=rec["run_id"], header=rec)

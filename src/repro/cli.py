@@ -175,8 +175,8 @@ def cmd_batch(args) -> int:
         raise SystemExit("batch: give exactly one of --script or --flow")
     if args.compare_to and not args.store:
         raise SystemExit("batch: --compare-to needs --store")
-    if (args.resume or args.cooperate) and not args.store:
-        raise SystemExit("batch: --resume/--cooperate need --store")
+    if args.resume and not args.store:
+        raise SystemExit("batch: --resume needs --store")
     if args.requarantine and not args.store:
         raise SystemExit("batch: --requarantine needs --store")
     try:
@@ -206,8 +206,9 @@ def cmd_batch(args) -> int:
     store = ResultStore(args.store) if args.store else None
     try:
         batch = runner.run(suite, flow, scale=args.scale, store=store,
-                           resume=args.resume, cooperate=args.cooperate,
-                           requarantine=args.requarantine)
+                           resume=args.resume, requarantine=args.requarantine)
+    except ValueError as exc:            # e.g. a corrupt result store
+        raise SystemExit(f"batch: {exc}")
     finally:
         if events is not None:
             events.close()
@@ -451,9 +452,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--requarantine", action="store_true",
                    help="clear the run key's quarantine list in --store and "
                         "retry circuits the circuit breaker had benched")
-    p.add_argument("--cooperate", action="store_true",
-                   help="claim circuits through --store so concurrent "
-                        "runners share the suite without duplicated work")
     p.add_argument("--order", default="largest", choices=("largest", "suite"),
                    help="dispatch order: biggest circuits first to bound "
                         "stragglers (default), or manifest order")

@@ -42,6 +42,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..batch.events import RunEvent
 from ..batch.runner import state_fingerprint
 from ..batch.suite import SuiteEntry
 from ..flow import FlowError, FlowScriptError, resolve_flow
@@ -484,14 +485,9 @@ class ServeDaemon:
         except RuntimeError:
             pass                              # loop shut down mid-callback
 
-    def _event(self, job: _Job, *, kind: str, detail: str = "",
-               event=None) -> None:
-        if event is None:
-            from ..batch.events import RunEvent
-
-            event = RunEvent(kind=kind, circuit=job.name, index=0,
-                             detail=detail, at=time.time())
-        job.events.append(event.to_dict())
+    def _event(self, job: _Job, *, kind: str, detail: str = "") -> None:
+        job.events.append(RunEvent(kind=kind, circuit=job.name, index=0,
+                                   detail=detail, at=time.time()).to_dict())
 
     def _on_pool_event(self, job: _Job, event) -> None:
         job.events.append(event.to_dict())

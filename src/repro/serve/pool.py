@@ -180,17 +180,8 @@ class ServePool:
     def _emit(self, job: _Job, kind: str, *, worker: int = 0,
               outcome: Optional[CircuitOutcome] = None) -> None:
         """One event to the job's hook and the global sink; never raises."""
-        payload = job.payload
-        if outcome is not None:
-            event = RunEvent(kind=kind, circuit=outcome.name,
-                             index=outcome.index, attempt=outcome.attempts,
-                             status=outcome.status, seconds=outcome.seconds,
-                             worker=outcome.worker, at=time.time())
-        else:
-            event = RunEvent(kind=kind, circuit=payload["name"],
-                             index=payload["index"],
-                             attempt=payload.get("attempt", 1),
-                             worker=worker, at=time.time())
+        event = RunEvent.of(kind, outcome=outcome, payload=job.payload,
+                            worker=worker)
         for sink in (job.on_event, self.events):
             if sink is None:
                 continue

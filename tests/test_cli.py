@@ -188,6 +188,17 @@ class TestBatchCommand:
         out = capsys.readouterr().out
         assert "FAILED" in out and "ERROR" in out
 
+    def test_batch_corrupt_store_exits_with_message(self, tmp_path):
+        store = tmp_path / "bad.jsonl"
+        store.write_text('{"kind": "run", "run_id": "r1"}\nnot json\n'
+                         '{"kind": "end", "run_id": "r1"}\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "ctrl", "--script", "b", "--scale", "tiny",
+                  "--store", str(store), "--resume", "--quiet"])
+        assert str(exc.value.code).startswith("batch: ")
+        assert "corrupt record at line 2" in str(exc.value.code)
+        assert exc.value.code not in (0, None)
+
     def test_batch_compare_needs_store(self):
         with pytest.raises(SystemExit, match="--compare-to needs --store"):
             main(["batch", "ctrl", "--script", "b", "--scale", "tiny",

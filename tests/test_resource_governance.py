@@ -216,11 +216,12 @@ class TestMemoryBudgets:
 # ---------------------------------------------------------------------- #
 
 class TestCircuitBreaker:
-    def _failing_run(self, store, **kw):
+    def _failing_run(self, store, requarantine=False, **kw):
         return BatchRunner(
             return_networks=False,
             faults=FaultPlan({"dec": Fault("raise")}), **kw,
-        ).run(["ctrl", "dec"], "b", scale="tiny", store=store)
+        ).run(["ctrl", "dec"], "b", scale="tiny", store=store,
+              requarantine=requarantine)
 
     def test_identical_failures_trip_the_breaker(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
@@ -271,6 +272,17 @@ class TestCircuitBreaker:
             requarantine=True)
         assert all(o.ok for o in batch.outcomes)
         assert store.quarantined(batch.run_key) == {}
+
+    def test_requarantine_restarts_the_count(self, tmp_path):
+        """Failures recorded before a requarantine do not count: a cleared
+        circuit needs the full threshold of fresh identical failures."""
+        store = ResultStore(tmp_path / "store.jsonl")
+        self._failing_run(store)
+        self._failing_run(store)
+        key = self._failing_run(store, requarantine=True).run_key
+        assert store.quarantined(key) == {}
+        self._failing_run(store)
+        assert list(store.quarantined(key)) == ["dec"]
 
     def test_requarantine_requires_store(self):
         with pytest.raises(ValueError, match="store"):

@@ -356,6 +356,10 @@ class TestDaemon:
             second = other.submit("ctrl", flow=FLOW, scale="tiny")
             assert second["coalesced"] and second["cached"]
             rec2 = other.result(second["id"])
+            # serve's own ``claimed`` kind: the follower attached, then
+            # resolved with the primary
+            assert [e["kind"] for e in other.events(second["id"])] \
+                == ["claimed", "finished"]
         rec1 = client.result(first["id"])
         assert (json.dumps(rec1, sort_keys=True)
                 == json.dumps(rec2, sort_keys=True))
