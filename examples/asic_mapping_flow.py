@@ -15,8 +15,8 @@ from repro.circuits import ALL_BENCHMARKS, build
 from repro.experiments import format_results, run_circuit
 from repro.experiments.table1 import CONFIG_ORDER
 from repro.io import write_verilog_netlist
+from repro.flow import optimize
 from repro.mapping import asic_map
-from repro.opt import compress2rs
 
 
 def main() -> None:
@@ -35,7 +35,7 @@ def main() -> None:
     best_cfg = min(CONFIG_ORDER, key=lambda c: rows[c].area * rows[c].delay)
     print(f"\nbest area-delay product: {best_cfg}")
 
-    netlist = asic_map(compress2rs(ntk), objective="delay")
+    netlist = asic_map(optimize(ntk, "compress2rs"), objective="delay")
     verilog = write_verilog_netlist(netlist, module=circuit)
     out_path = f"{circuit}_mapped.v"
     with open(out_path, "w") as f:

@@ -25,9 +25,8 @@ def main() -> None:
 
     ctx = FlowContext()
 
-    # 1. plain graph mapping, iterated to a local optimum (one unconditional
-    #    remap into XMG, then up to 7 keep-best rounds — exactly
-    #    graph_map_iterate(max_rounds=8) semantics)
+    # 1. plain graph mapping, iterated to a local optimum: one unconditional
+    #    remap into XMG, then up to 7 keep-best rounds (Fig. 6's baseline)
     baseline = run_flow(ntk, "gm -r xmg -o area; converge7( gm -r xmg -o area )",
                         context=ctx).network
     print(f"XMG local optimum:   {baseline.num_gates()} gates, depth {baseline.depth()}")

@@ -65,10 +65,9 @@ from .mapping import (
     asap7_library,
     asic_map,
     graph_map,
-    graph_map_iterate,
     lut_map,
 )
-from .opt import balance, compress2rs, resyn2rs, sweep
+from .opt import balance, sweep
 from .sat import cec
 from .circuits import load
 from .flow import (
@@ -131,11 +130,8 @@ __all__ = [
     "lut_map",
     "asic_map",
     "graph_map",
-    "graph_map_iterate",
     "asap7_library",
     "balance",
-    "compress2rs",
-    "resyn2rs",
     "sweep",
     "cec",
     # sequential API

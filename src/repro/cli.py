@@ -74,8 +74,7 @@ def _run_script(args, script) -> FlowResult:
     ntk = _load(args.circuit, args.scale)
     ctx = FlowContext()
     try:
-        result = FlowRunner(ctx).run(ntk, resolve_flow(script),
-                                     name=str(args.circuit))
+        result = FlowRunner(ctx).run(ntk, script, name=str(args.circuit))
     except FlowError as exc:
         raise SystemExit(f"flow failed: {exc}")
     return result
@@ -319,9 +318,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .flow import compress2rs_flow
-
-    result = _run_script(args, compress2rs_flow(rounds=args.rounds))
+    result = _run_script(args, resolve_flow("compress2rs", rounds=args.rounds))
     ntk, opt = result.input, result.network
     print(f"before: {ntk.num_gates()} gates, depth {ntk.depth()}")
     print(f"after:  {opt.num_gates()} gates, depth {opt.depth()}")

@@ -18,7 +18,8 @@ from ..core import MchParams, build_mch
 from ..mapping import asic_map, lut_map
 from ..networks import Aig, Xag, Xmg
 from ..synthesis import AREA_STRATEGY, LEVEL_STRATEGY, StrategyLibrary
-from .common import batch_map, experiment_context, format_table, preoptimize
+from ..flow import FlowContext, optimize
+from .common import batch_map, format_table
 
 __all__ = ["ratio_sweep", "merge_ablation", "representation_ablation", "strategy_ablation"]
 
@@ -43,7 +44,7 @@ def ratio_sweep(circuit: str = "adder", scale: str = "small",
     The pre-optimized network is shared; ``jobs>1`` fans the per-ratio
     choice builds and mappings across worker processes.
     """
-    ntk = preoptimize(build(circuit, scale), rounds=2)
+    ntk = optimize(build(circuit, scale), "compress2rs", rounds=2)
     return batch_map([(ntk, r) for r in ratios], _ratio_task, jobs=jobs)
 
 
@@ -71,10 +72,10 @@ def merge_ablation(circuit: str = "adder", scale: str = "small",
                    cut_limits: Sequence[int] = (4, 8, 12),
                    jobs: int = 1) -> List[dict]:
     """Effect of the cut limit ``l`` and of choice-cut merging (Alg. 3)."""
-    ntk = preoptimize(build(circuit, scale), rounds=2)
+    ntk = optimize(build(circuit, scale), "compress2rs", rounds=2)
     mch = build_mch(ntk, MchParams(representations=(Xmg, Aig), ratio=1.0))
     return batch_map([(mch, l) for l in cut_limits], _merge_task, jobs=jobs,
-                     context=experiment_context())
+                     context=FlowContext())
 
 
 _REP_VARIANTS = [("AIG", (Aig,)), ("XAG", (Xag,)), ("XMG", (Xmg,)),
@@ -96,7 +97,7 @@ def _rep_task(task, ctx):
 def representation_ablation(circuit: str = "adder", scale: str = "small",
                             jobs: int = 1) -> List[dict]:
     """Which candidate vocabulary drives the gains?"""
-    ntk = preoptimize(build(circuit, scale), rounds=2)
+    ntk = optimize(build(circuit, scale), "compress2rs", rounds=2)
     return batch_map([(ntk, label, reps) for label, reps in _REP_VARIANTS],
                      _rep_task, jobs=jobs)
 
@@ -125,7 +126,7 @@ def _strategy_task(task, ctx):
 def strategy_ablation(circuit: str = "adder", scale: str = "small",
                       jobs: int = 1) -> List[dict]:
     """Level-only vs area-only vs the full multi-strategy library."""
-    ntk = preoptimize(build(circuit, scale), rounds=2)
+    ntk = optimize(build(circuit, scale), "compress2rs", rounds=2)
     labels = ["level-only", "area-only", "multi (paper)"]
     return batch_map([(ntk, label) for label in labels], _strategy_task,
                      jobs=jobs)

@@ -1,43 +1,18 @@
 """Shared utilities for the experiment drivers (geomean, tables, timing).
 
-Since the flow API landed the drivers also share their *wiring* here:
-:func:`preoptimize` is the protocol's "simulate the logic optimization
-process" step as a flow spec, and :func:`scripted` runs any flow script —
-both thread one :class:`~repro.flow.context.FlowContext` through the whole
-experiment so mapping sessions, pattern pools and NPN caches are reused
-across circuits and configurations.
+The drivers run the paper's protocol as flow scripts through one
+:class:`~repro.flow.context.FlowContext` per experiment, so mapping
+sessions, pattern pools and NPN caches are reused across circuits and
+configurations; :func:`batch_map` is their shared parallelism hook.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, Sequence
 
-__all__ = ["geomean", "improvement", "Timer", "format_table",
-           "experiment_context", "preoptimize", "scripted", "batch_map"]
-
-
-def experiment_context():
-    """A fresh :class:`~repro.flow.context.FlowContext` for one experiment."""
-    from ..flow import FlowContext
-
-    return FlowContext()
-
-
-def preoptimize(ntk, rounds: int = 2, context=None):
-    """The paper's pre-mapping optimization: the ``compress2rs`` flow spec."""
-    from ..flow import FlowRunner, compress2rs_flow
-
-    return FlowRunner(context).run(ntk, compress2rs_flow(rounds=rounds)).network
-
-
-def scripted(ntk, flow, context=None, **spec_kwargs):
-    """Run any flow (script text / spec name / Flow) and return the network."""
-    from ..flow import FlowRunner, resolve_flow
-
-    return FlowRunner(context).run(ntk, resolve_flow(flow, **spec_kwargs)).network
+__all__ = ["geomean", "improvement", "Timer", "format_table", "batch_map"]
 
 
 def batch_map(tasks, fn, jobs: int = 1, context=None):

@@ -14,7 +14,8 @@ from typing import Dict, Optional, Sequence, Type
 from ..circuits import build
 from ..mapping import asic_map, graph_map
 from ..networks import Aig, LogicNetwork, Mig, Xag, Xmg
-from .common import batch_map, format_table, preoptimize
+from ..flow import optimize
+from .common import batch_map, format_table
 
 __all__ = ["REPRESENTATIONS", "run_fig1", "format_fig1"]
 
@@ -62,7 +63,7 @@ def run_fig1(circuit: str = "max", scale: str = "small",
     The shared pre-optimized network is computed once; ``jobs>1`` fans the
     per-representation conversions and mappings across worker processes.
     """
-    ntk = preoptimize(build(circuit, scale), rounds=2)
+    ntk = optimize(build(circuit, scale), "compress2rs", rounds=2)
     tasks = [(rep_name, ntk) for rep_name in (reps or REPRESENTATIONS)]
     return dict(batch_map(tasks, _rep_task, jobs=jobs))
 

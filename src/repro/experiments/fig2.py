@@ -21,7 +21,8 @@ from ..circuits.wordlevel import add_words
 from ..core import MchParams, build_dch, build_mch
 from ..mapping import asic_map
 from ..networks import Aig, Mig, Xmg
-from .common import batch_map, format_table, preoptimize
+from ..flow import optimize
+from .common import batch_map, format_table
 
 __all__ = ["demo_circuit", "run_fig2", "format_fig2"]
 
@@ -75,7 +76,7 @@ def run_fig2(jobs: int = 1) -> Dict[str, Fig2Row]:
     by all four tasks.
     """
     ntk = demo_circuit()
-    opt = preoptimize(ntk, rounds=2)
+    opt = optimize(ntk, "compress2rs", rounds=2)
     tasks = [(label, ntk, opt) for label in FLOW_ORDER]
     return dict(batch_map(tasks, _flow_task, jobs=jobs))
 

@@ -14,12 +14,15 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ..circuits import ALL_BENCHMARKS, build
-from ..core import MchParams, build_mch
-from ..mapping import graph_map, graph_map_iterate, lut_map
-from ..networks import Mig, Xmg
+from ..flow import FlowRunner
 from .common import format_table, geomean, improvement
 
 __all__ = ["run_fig6", "format_fig6", "summarize_fig6"]
+
+#: *Baseline*: iterate XMG graph mapping to a local optimum (≤ 8 rounds).
+BASELINE_SCRIPT = "gm -r xmg; converge7( gm -r xmg )"
+#: *MCH for Graph Map*: keep graph-mapping through MIG + XMG choices.
+MCH_SCRIPT = "converge6( mch -p mig,xmg -r 1.0; gm -r xmg )"
 
 
 @dataclass
@@ -50,29 +53,16 @@ class Fig6Row:
         return improvement(self.base_lut_levels, self.mch_lut_levels)
 
 
-def _mch_graph_map_iterate(ntk, max_rounds: int = 6):
-    """Iterate choice-driven XMG graph mapping to a fixpoint."""
-    current = ntk
-    best = (current.num_gates(), current.depth())
-    for _ in range(max_rounds):
-        choices = build_mch(current, MchParams(representations=(Mig, Xmg), ratio=1.0))
-        remapped = graph_map(choices, Xmg, objective="area")
-        score = (remapped.num_gates(), remapped.depth())
-        if score >= best:
-            break
-        current, best = remapped, score
-    return current
-
-
 def run_fig6(names: Optional[Sequence[str]] = None, scale: str = "small",
              k: int = 6) -> Dict[str, Fig6Row]:
+    runner = FlowRunner()
+    lut_script = f"if -k {k}"
     out: Dict[str, Fig6Row] = {}
     for name in names or ALL_BENCHMARKS:
-        ntk = build(name, scale)
-        baseline = graph_map_iterate(ntk, Xmg, objective="area", max_rounds=8)
-        improved = _mch_graph_map_iterate(baseline)
-        base_lut = lut_map(baseline, k=k, objective="area")
-        mch_lut = lut_map(improved, k=k, objective="area")
+        baseline = runner.run(build(name, scale), BASELINE_SCRIPT).network
+        improved = runner.run(baseline, MCH_SCRIPT).network
+        base_lut = runner.run(baseline, lut_script).network
+        mch_lut = runner.run(improved, lut_script).network
         out[name] = Fig6Row(
             base_nodes=baseline.num_gates(), base_levels=baseline.depth(),
             mch_nodes=improved.num_gates(), mch_levels=improved.depth(),

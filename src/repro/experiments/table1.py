@@ -21,26 +21,30 @@ like the paper "simulates the logic optimization process" before mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..circuits import ALL_BENCHMARKS, build
-from ..core import MchParams, build_dch, build_mch
-from ..mapping import asic_map, graph_map
-from ..networks import Aig, Xag, Xmg
-from .common import (
-    Timer,
-    batch_map,
-    experiment_context,
-    format_table,
-    geomean,
-    improvement,
-    preoptimize,
-)
+from ..core import build_dch
+from ..flow import FlowContext, FlowRunner, optimize
+from ..networks import Aig
+from .common import Timer, batch_map, format_table, geomean, improvement
 
 __all__ = ["CONFIG_ORDER", "run_circuit", "run_table1", "summarize", "format_results"]
 
-CONFIG_ORDER = ["baseline", "dch", "dch_area", "mch_balanced", "mch_delay", "mch_area"]
+#: Each configuration as a flow script.  ``dch``/``dch_area`` map the DCH
+#: choice network built from optimization snapshots; every other config
+#: runs on the pre-optimized network.
+CONFIG_SCRIPTS: Dict[str, str] = {
+    "baseline": "am -o delay",
+    "dch": "am -o delay",
+    "dch_area": "am -o area",
+    "mch_balanced": "mch -p aig -r 1.0; am -o delay",
+    "mch_delay": "gm -r xag -o delay; mch -p xag,aig -r 0.6; am -o delay",
+    "mch_area": "mch -p xmg,aig -r 1.5; am -o area",
+}
+
+CONFIG_ORDER = list(CONFIG_SCRIPTS)
 
 
 @dataclass
@@ -55,56 +59,36 @@ def run_circuit(ntk: Aig, configs: Optional[Sequence[str]] = None,
     """Run the Table-I configurations on one circuit; returns config -> row.
 
     ``context`` threads one shared :class:`~repro.flow.context.FlowContext`
-    (engines, caches) through the pre-optimization and the choice builds.
+    (engines, caches) through the pre-optimization, the choice builds and
+    every configuration's script.
     """
     configs = list(configs or CONFIG_ORDER)
-    ctx = context if context is not None else experiment_context()
-    out: Dict[str, MappingResultRow] = {}
-    opt = preoptimize(ntk, rounds=opt_rounds, context=ctx)
+    ctx = context if context is not None else FlowContext()
+    runner = FlowRunner(ctx)
+    opt = optimize(ntk, "compress2rs", rounds=opt_rounds, context=ctx)
 
-    if "baseline" in configs:
-        with Timer() as t:
-            nl = asic_map(opt, objective="delay")
-        out["baseline"] = MappingResultRow(nl.area(), nl.delay(), t.seconds)
-
+    dch, build_seconds = None, 0.0
     if "dch" in configs or "dch_area" in configs:
         with Timer() as t_build:
-            snapshots = [opt, preoptimize(opt, rounds=2, context=ctx), ntk]
+            snapshots = [opt, optimize(opt, "compress2rs", rounds=2, context=ctx), ntk]
             dch = build_dch(snapshots, sat_verify=True)
             # One session: the delay- and area-oriented runs share the cut
             # database.  Prebuild it here (k=4 matches the ASIC mapper's pin
             # bound) so both configs' mapping times stay comparable — the
             # shared enumeration is charged to the shared build time.
-            session = ctx.mapping_session(dch)
-            session.cut_database(4, 8)
-        if "dch" in configs:
-            with Timer() as t:
-                nl = asic_map(session, objective="delay")
-            out["dch"] = MappingResultRow(nl.area(), nl.delay(), t_build.seconds + t.seconds)
-        if "dch_area" in configs:
-            with Timer() as t:
-                nl = asic_map(session, objective="area")
-            out["dch_area"] = MappingResultRow(nl.area(), nl.delay(), t_build.seconds + t.seconds)
+            ctx.mapping_session(dch).cut_database(4, 8)
+        build_seconds = t_build.seconds
 
-    if "mch_balanced" in configs:
-        with Timer() as t:
-            mch = build_mch(opt, MchParams(representations=(Aig,), ratio=1.0))
-            nl = asic_map(mch, objective="delay")
-        out["mch_balanced"] = MappingResultRow(nl.area(), nl.delay(), t.seconds)
-
-    if "mch_delay" in configs:
-        with Timer() as t:
-            xag = graph_map(opt, Xag, objective="delay")
-            mch = build_mch(xag, MchParams(representations=(Xag, Aig), ratio=0.6))
-            nl = asic_map(mch, objective="delay")
-        out["mch_delay"] = MappingResultRow(nl.area(), nl.delay(), t.seconds)
-
-    if "mch_area" in configs:
-        with Timer() as t:
-            mch = build_mch(opt, MchParams(representations=(Xmg, Aig), ratio=1.5))
-            nl = asic_map(mch, objective="area")
-        out["mch_area"] = MappingResultRow(nl.area(), nl.delay(), t.seconds)
-
+    out: Dict[str, MappingResultRow] = {}
+    for cfg in CONFIG_ORDER:
+        if cfg not in configs:
+            continue
+        uses_dch = cfg.startswith("dch")
+        result = runner.run(dch if uses_dch else opt, CONFIG_SCRIPTS[cfg])
+        nl = result.network
+        out[cfg] = MappingResultRow(
+            nl.area(), nl.delay(),
+            result.seconds + (build_seconds if uses_dch else 0.0))
     return out
 
 
@@ -127,8 +111,7 @@ def run_table1(names: Optional[Sequence[str]] = None, scale: str = "small",
     names = list(names or ALL_BENCHMARKS)
     tasks = [(name, scale, tuple(configs) if configs else None, opt_rounds)
              for name in names]
-    pairs = batch_map(tasks, _circuit_task, jobs=jobs,
-                      context=experiment_context())
+    pairs = batch_map(tasks, _circuit_task, jobs=jobs, context=FlowContext())
     return dict(pairs)
 
 

@@ -19,13 +19,17 @@ from typing import Dict, Optional, Sequence
 
 from ..circuits import build
 from ..core import MchParams, build_mch
-from ..mapping import graph_map_iterate, lut_map
+from ..flow import FlowContext, FlowRunner, optimize
 from ..networks import Aig, Xmg
-from .common import batch_map, experiment_context, format_table, preoptimize
+from .common import batch_map, format_table
 
 __all__ = ["DEFAULT_CIRCUITS", "run_table2", "format_table2"]
 
 DEFAULT_CIRCUITS = ["sin", "sqrt", "square", "hyp", "voter"]
+
+#: Our stand-in for the published record: iterate XMG graph mapping to a
+#: local optimum (at most four rounds), then area-map into K-LUTs.
+RECORD_SCRIPT = "gm -r xmg; converge3( gm -r xmg ); if -k {k}"
 
 
 @dataclass
@@ -41,23 +45,22 @@ class Table2Row:
 def _record_task(task, ctx):
     """One Table-II circuit's challenge protocol as a batch task."""
     name, scale, k = task
-    ntk = build(name, scale)
-    # our stand-in for the published record: optimize hard, then area-map
-    optimized = graph_map_iterate(preoptimize(ntk, rounds=2, context=ctx), Xmg,
-                                  objective="area", max_rounds=4)
-    best = lut_map(optimized, k=k, objective="area")
+    runner = FlowRunner(ctx)
+    lut_script = f"if -k {k}"
+    optimized = optimize(build(name, scale), "compress2rs", rounds=2, context=ctx)
+    best = runner.run(optimized, RECORD_SCRIPT.format(k=k)).network
 
     # challenge protocol: strash the record back to a redundant AIG
     redundant = best.to_logic_network(Aig)
 
-    plain = lut_map(redundant, k=k, objective="area")
+    plain = runner.run(redundant, lut_script).network
     # wide candidate generation (6-input cuts, larger MFFCs) — the LUT
     # challenge rewards structure recovery over speed
     mch = build_mch(redundant, MchParams(
         representations=(Xmg,), ratio=1.5, cut_size=6,
         max_cuts_per_node=4, mffc_max_pis=10,
     ))
-    with_choices = lut_map(mch, k=k, objective="area")
+    with_choices = runner.run(mch, lut_script).network
 
     return name, Table2Row(
         best_luts=best.num_luts(), best_levels=best.depth(),
@@ -73,8 +76,7 @@ def run_table2(names: Optional[Sequence[str]] = None, scale: str = "small",
     ``jobs>1`` shards the circuits across worker processes.
     """
     tasks = [(name, scale, k) for name in (names or DEFAULT_CIRCUITS)]
-    pairs = batch_map(tasks, _record_task, jobs=jobs,
-                      context=experiment_context())
+    pairs = batch_map(tasks, _record_task, jobs=jobs, context=FlowContext())
     return dict(pairs)
 
 

@@ -16,7 +16,8 @@ if -K 6``); this package makes that the native way to drive the library:
 * :mod:`~repro.flow.runner` — :class:`FlowRunner` with per-pass metrics and
   a ``run_many`` batch entry point;
 * :mod:`~repro.flow.specs` — canonical named specs (``compress2rs``,
-  ``resyn2rs``) reimplemented as flow data.
+  ``resyn2rs``) as flow data, and :func:`resolve_flow`, the one place a
+  :class:`Flow`, a spec name or script text becomes a :class:`Flow`.
 
 Quickstart::
 
@@ -44,7 +45,6 @@ from .runner import FlowResult, FlowRunner, optimize, run_flow
 from .specs import (
     NAMED_FLOWS,
     compress2rs_flow,
-    named_flow,
     resolve_flow,
     resyn2rs_flow,
 )
@@ -75,6 +75,5 @@ __all__ = [
     "NAMED_FLOWS",
     "compress2rs_flow",
     "resyn2rs_flow",
-    "named_flow",
     "resolve_flow",
 ]

@@ -53,8 +53,8 @@ def state_kind(state) -> str:
 def state_cost(state) -> Tuple[float, float]:
     """Comparable (size, depth) cost of any pipeline state.
 
-    Logic networks score ``(gates, depth)`` — the exact tuple the legacy
-    keep-best flows compared — LUT networks ``(LUTs, depth)``, cell
+    Logic networks score ``(gates, depth)`` — the tuple ``converge``'s
+    keep-best loop compares — LUT networks ``(LUTs, depth)``, cell
     netlists ``(area, delay)``; choice networks score their underlying
     network.
     """

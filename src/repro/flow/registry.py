@@ -12,8 +12,8 @@ registered networks by the runner instead of silently dropping latches).
 
 The registry is what makes scripts checkable before they run: the DSL
 parser resolves names and coerces arguments against it, and
-``optimize_rounds`` validates its ``script`` argument against it instead of
-a string if/else.
+``resolve_flow`` validates every script text a front door receives against
+it.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class FlowError(RuntimeError):
 class FlowScriptError(FlowError, ValueError):
     """A flow script failed to parse or validate against the registry.
 
-    Also a :class:`ValueError`, preserving the legacy contract of
-    ``optimize_rounds(script=...)`` callers that catch ``ValueError``.
+    Also a :class:`ValueError`, so callers of ``optimize_rounds(script=...)``
+    and ``resolve_flow`` can catch ``ValueError``.
     """
 
 

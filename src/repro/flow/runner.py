@@ -5,9 +5,10 @@ through the registry (validating state kinds and network-class
 capabilities), times it, records :class:`~repro.flow.context.PassMetrics`
 on the shared :class:`~repro.flow.context.FlowContext`, executes ``N*(…)``
 repetition groups and runs ``converge(…)`` groups as keep-best fixpoint
-loops — the exact semantics of the legacy ``compress2rs`` iteration:
-a round whose ``(size, depth)`` cost is not strictly better than the best
-seen so far is discarded and the loop stops.
+loops: a round whose ``(size, depth)`` cost is not strictly better than the
+best seen so far is discarded and the loop stops.  ``_run_converge`` is the
+library's only keep-best loop — iterated ``compress2rs`` and iterated graph
+mapping (``gm; converge( gm )``) are both scripts over it.
 
 ``run_many`` threads *one* context through a whole batch, which is where
 the shared-engine payoff compounds: the library match table, NPN cost
@@ -23,6 +24,7 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 from .context import FlowContext, PassMetrics, state_cost, state_kind, state_summary
 from .registry import FlowError, get_pass
 from .script import Converge, Flow, PassStep, Repeat
+from .specs import resolve_flow
 
 __all__ = ["FlowRunner", "FlowResult", "run_flow", "optimize"]
 
@@ -70,8 +72,9 @@ class FlowRunner:
     # -- entry points --------------------------------------------------------
 
     def run(self, ntk, flow: Union[Flow, str], name: str = "") -> FlowResult:
-        """Run ``flow`` (a :class:`Flow` or script text) on one network."""
-        flow = Flow.of(flow)
+        """Run ``flow`` (a :class:`Flow`, named spec or script text) on one
+        network."""
+        flow = resolve_flow(flow)
         flow.validate(state_kind(ntk))   # reject kind-incompatible scripts early
         # nested runs (a pass driving a sub-flow, e.g. dch snapshots) must
         # not clobber the outer flow's verification reference
@@ -97,7 +100,8 @@ class FlowRunner:
     def run_many(self, circuits: Iterable, flow: Union[Flow, str],
                  scale: str = "small", *, jobs: int = 1, store=None,
                  progress=None) -> Dict[str, FlowResult]:
-        """Run one flow over many circuits; returns ``name -> FlowResult``.
+        """Run one flow (resolved like :meth:`run`) over many circuits;
+        returns ``name -> FlowResult``.
 
         ``circuits`` mixes benchmark names, ``.aag`` paths and network
         objects.  The execution is delegated to the batch layer: with
@@ -115,7 +119,7 @@ class FlowRunner:
         runner = BatchRunner(jobs=jobs, context=self.ctx, progress=progress,
                              verify=self.verify, checkpoint=self.checkpoint,
                              return_networks=True)
-        batch = runner.run(circuits, Flow.of(flow), scale=scale, store=store)
+        batch = runner.run(circuits, flow, scale=scale, store=store)
         return runner.flow_results(batch)
 
     # -- interpreter ---------------------------------------------------------
@@ -189,12 +193,10 @@ def run_flow(ntk, flow: Union[Flow, str], *, context: Optional[FlowContext] = No
              verify: bool = False) -> FlowResult:
     """Run a flow (script text, named spec, or :class:`Flow`) on a network.
 
-    ``flow`` may also be a named canonical spec (``"compress2rs"``,
-    ``"resyn2rs"``); see :mod:`repro.flow.specs`.
+    Named specs (``"compress2rs"``, ``"resyn2rs"``) are listed in
+    :mod:`repro.flow.specs`.
     """
-    from .specs import resolve_flow
-
-    return FlowRunner(context, verify=verify).run(ntk, resolve_flow(flow))
+    return FlowRunner(context, verify=verify).run(ntk, flow)
 
 
 def optimize(ntk, flow: Union[Flow, str] = "compress2rs", *,
@@ -206,7 +208,5 @@ def optimize(ntk, flow: Union[Flow, str] = "compress2rs", *,
     spec (extra ``spec_kwargs`` — e.g. ``rounds=2`` — parameterize named
     specs).
     """
-    from .specs import resolve_flow
-
     return FlowRunner(context, verify=verify).run(
         ntk, resolve_flow(flow, **spec_kwargs)).network

@@ -90,8 +90,8 @@ class Converge:
 
     Cost is ``(gates, depth)`` for logic networks (``(LUTs, depth)`` /
     ``(area, delay)`` for mapped results); a round whose output is not
-    strictly better is discarded, mirroring the keep-best loop of the
-    legacy ``compress2rs`` function.
+    strictly better is discarded and the loop stops — the keep-best
+    fixpoint of ABC's iterated ``compress2rs`` and of iterated graph mapping.
     """
 
     body: Tuple["Step", ...]
@@ -257,13 +257,6 @@ class Flow:
         if parser.peek() == ")":
             parser.fail("unbalanced ')'")
         return cls(steps, name=name)
-
-    @classmethod
-    def of(cls, flow_or_script: Union["Flow", str]) -> "Flow":
-        """Coerce a script string (or pass a Flow through unchanged)."""
-        if isinstance(flow_or_script, Flow):
-            return flow_or_script
-        return cls.parse(flow_or_script)
 
     # -- rendering / serialization -------------------------------------------
 

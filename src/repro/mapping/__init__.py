@@ -11,7 +11,7 @@ from .engine import (
     run_cover,
 )
 from .lut_mapper import CutMapper, lut_map
-from .graph_mapper import graph_map, graph_map_iterate
+from .graph_mapper import graph_map
 from .library import Cell, Library, parse_genlib, write_genlib
 from .asap7 import asap7_library
 from .matcher import Match, MatchTable
@@ -31,7 +31,6 @@ __all__ = [
     "CutMapper",
     "lut_map",
     "graph_map",
-    "graph_map_iterate",
     "Cell",
     "Library",
     "parse_genlib",

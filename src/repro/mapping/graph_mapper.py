@@ -10,7 +10,8 @@ covered with cuts exactly like in LUT mapping — through the shared
 representation's NPN structure database.  The output is a new
 AIG/XAG/MIG/XMG rather than a LUT netlist.
 
-Iterating ``graph_map`` to a fixpoint is a logic optimization loop; handing
+Iterating graph mapping to a fixpoint (the flow script
+``gm -r xmg; converge7( gm -r xmg )``) is a logic optimization loop; handing
 it an MCH choice network lets it jump out of the single-representation local
 optima, which is the paper's Fig. 6 experiment.
 """
@@ -25,7 +26,7 @@ from ..synthesis.npn_db import NpnCostCache
 from ..synthesis.factoring import synthesize_tt
 from .engine import MappingSession, NpnCostModel, run_cover
 
-__all__ = ["graph_map", "graph_map_iterate"]
+__all__ = ["graph_map"]
 
 
 def graph_map(subject: Union[LogicNetwork, ChoiceNetwork, MappingSession],
@@ -59,30 +60,3 @@ def graph_map(subject: Union[LogicNetwork, ChoiceNetwork, MappingSession],
         target.create_po(mapping[p >> 1] ^ (p & 1), name)
     return target
 
-
-def graph_map_iterate(ntk: LogicNetwork, target_cls: Type[LogicNetwork],
-                      objective: str = "area", k: int = 4, cut_limit: int = 8,
-                      max_rounds: int = 10) -> LogicNetwork:
-    """Iterate graph mapping until no further improvement (a local optimum).
-
-    This is the paper's "Baseline" protocol in the Fig. 6 experiment:
-    repeatedly remap until gate count (area) or depth (delay) stops
-    improving.
-    """
-    cache = NpnCostCache(target_cls)
-    current = graph_map(ntk, target_cls, objective=objective, k=k,
-                        cut_limit=cut_limit, cache=cache)
-
-    def score(net: LogicNetwork):
-        return (net.num_gates(), net.depth()) if objective == "area" \
-            else (net.depth(), net.num_gates())
-
-    best = score(current)
-    for _ in range(max_rounds - 1):
-        nxt = graph_map(current, target_cls, objective=objective, k=k,
-                        cut_limit=cut_limit, cache=cache)
-        s = score(nxt)
-        if s >= best:
-            break
-        current, best = nxt, s
-    return current

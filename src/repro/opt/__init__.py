@@ -3,7 +3,7 @@
 from .balancing import balance
 from .equivalence import functional_classes
 from .sweep import sweep
-from .flows import compress2rs, optimize_rounds, resyn2rs
+from .flows import optimize_rounds
 from .refactoring import refactor
 from .resub import resub
 from .mig_rewriting import mig_depth_rewrite
@@ -12,8 +12,6 @@ __all__ = [
     "balance",
     "functional_classes",
     "sweep",
-    "compress2rs",
-    "resyn2rs",
     "optimize_rounds",
     "refactor",
     "resub",

@@ -1,63 +1,19 @@
-"""Scripted optimization flows (the ``compress2rs`` analogue).
+"""Optimization snapshots for DCH choice building.
 
 The paper uses ABC's ``compress2rs`` to "simulate the logic optimization
-process" before mapping.  These entry points are kept for compatibility and
-convenience, but since the flow API landed they are thin wrappers over the
-canonical flow specs in :mod:`repro.flow.specs` — the pass sequence is data
-(``converge4( b; gm -o area -k 4; b )``), executed by the
-:class:`~repro.flow.runner.FlowRunner` with a shared engine context, and
-produces results identical to the old hardcoded loops.
+process" before mapping.  That script is the ``compress2rs`` flow spec
+(:mod:`repro.flow.specs`), run through ``optimize(ntk, "compress2rs",
+rounds=N)``; this module only adds the repeated-snapshot list the ``dch``
+pass merges into structural choices.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Type, Union
+from typing import List, Union
 
 from ..networks.base import LogicNetwork
 
-__all__ = ["compress2rs", "resyn2rs", "optimize_rounds"]
-
-
-def _convert_to(ntk: LogicNetwork, cls: Optional[Type[LogicNetwork]]) -> LogicNetwork:
-    cls = cls or type(ntk)
-    if cls is not type(ntk):
-        from ..networks.convert import convert
-
-        return convert(ntk, cls)
-    return ntk
-
-
-def compress2rs(ntk: LogicNetwork, rounds: int = 4, sat_sweep: bool = False,
-                cls: Optional[Type[LogicNetwork]] = None) -> LogicNetwork:
-    """Iterative area-oriented optimization to (near) convergence.
-
-    Each round runs balance -> cut resynthesis (k=4) -> balance; a functional
-    sweep is appended when ``sat_sweep`` is set (slower, catches redundancy
-    that structural passes miss).  Stops early when gate count stops
-    improving, mirroring how compress2rs is iterated in the paper's Table I
-    protocol.  Equivalent to running the ``compress2rs`` flow spec.
-    """
-    from ..flow.runner import FlowRunner
-    from ..flow.specs import compress2rs_flow
-
-    return FlowRunner().run(
-        _convert_to(ntk, cls), compress2rs_flow(rounds=rounds, sat_sweep=sat_sweep)
-    ).network
-
-
-def resyn2rs(ntk: LogicNetwork, rounds: int = 3,
-             cls: Optional[Type[LogicNetwork]] = None) -> LogicNetwork:
-    """Deeper flow: balance, MFFC refactoring, SAT resubstitution, remap.
-
-    Slower than :func:`compress2rs` but catches redundancy the structural
-    passes miss; the analogue of ABC's ``resyn2rs`` script.  Equivalent to
-    running the ``resyn2rs`` flow spec.
-    """
-    from ..flow.runner import FlowRunner
-    from ..flow.specs import resyn2rs_flow
-
-    return FlowRunner().run(
-        _convert_to(ntk, cls), resyn2rs_flow(rounds=rounds)).network
+__all__ = ["optimize_rounds"]
 
 
 def optimize_rounds(ntk: LogicNetwork, script: Union[str, "object"] = "compress2rs",
@@ -66,26 +22,19 @@ def optimize_rounds(ntk: LogicNetwork, script: Union[str, "object"] = "compress2
     """Produce successive optimization snapshots (for DCH choice building).
 
     Returns ``[ntk, opt1(ntk), opt2(opt1), ...]`` with ``rounds`` optimized
-    snapshots appended after the original.  ``script`` is the name of a
-    canonical flow spec (``"compress2rs"`` / ``"resyn2rs"`` — parameterized
-    by ``inner_rounds``), arbitrary flow-script text validated against the
-    pass registry (``"b; rs; b"``), or a :class:`~repro.flow.script.Flow`.
-    A caller-supplied ``context`` threads one shared
+    snapshots appended after the original.  ``script`` is anything
+    :func:`~repro.flow.specs.resolve_flow` accepts: the name of a canonical
+    flow spec (``"compress2rs"`` / ``"resyn2rs"`` — parameterized by
+    ``inner_rounds``), flow-script text validated against the pass registry
+    (``"b; rs; b"``), or a :class:`~repro.flow.script.Flow`.  A
+    caller-supplied ``context`` threads one shared
     :class:`~repro.flow.context.FlowContext` through every snapshot run.
     """
     from ..flow.runner import FlowRunner
-    from ..flow.script import Flow
-    from ..flow.specs import NAMED_FLOWS, named_flow
+    from ..flow.specs import NAMED_FLOWS, resolve_flow
 
-    if isinstance(script, Flow):
-        flow = script
-    elif script in NAMED_FLOWS:
-        flow = named_flow(script, rounds=inner_rounds)
-    elif isinstance(script, str):
-        flow = Flow.parse(script)   # raises FlowScriptError on unknown passes
-    else:
-        raise ValueError(f"unknown script {script!r}")
-
+    spec_kwargs = {"rounds": inner_rounds} if script in NAMED_FLOWS else {}
+    flow = resolve_flow(script, **spec_kwargs)
     runner = FlowRunner(context)
     out = [ntk]
     cur = ntk

@@ -46,15 +46,11 @@ AREA_STRATEGY = SynthesisStrategy("sop-area", ("sop", "nsop", "dsd_chain"), "are
 
 @dataclass
 class StrategyLibrary:
-    """Everything Algorithm 2 needs to generate candidates.
-
-    ``representations`` lists the network classes whose gate vocabulary the
-    candidates should use (the *mixed* in mixed structural choices).
-    """
+    """The level- and area-oriented strategies Algorithm 2 draws candidates
+    from (the candidate representations live in ``MchParams``)."""
 
     level: SynthesisStrategy = LEVEL_STRATEGY
     area: SynthesisStrategy = AREA_STRATEGY
-    representations: Tuple[Type[LogicNetwork], ...] = ()
 
     def for_objective(self, objective: str) -> SynthesisStrategy:
         return self.level if objective == "level" else self.area

@@ -24,6 +24,7 @@ from repro.experiments import (
     summarize_fig6,
 )
 from repro.circuits import build
+from repro.experiments.fig6 import Fig6Row
 
 
 class TestCommon:
@@ -85,6 +86,18 @@ class TestTable1:
                              "mch_delay", "mch_area"}
         for r in rows.values():
             assert r.area > 0 and r.delay > 0 and r.seconds >= 0
+        # differential pin: (area, delay) per config, recorded before the
+        # configs became flow scripts
+        pinned = {
+            "baseline": (4.832999999999998, 91.0),
+            "dch": (5.345999999999998, 91.0),
+            "dch_area": (4.671000000000002, 118.0),
+            "mch_balanced": (4.455, 88.0),
+            "mch_delay": (5.278999999999999, 88.0),
+            "mch_area": (3.807000000000001, 109.0),
+        }
+        assert {cfg: (pytest.approx(r.area, abs=1e-9), r.delay)
+                for cfg, r in rows.items()} == pinned
 
     def test_config_subset(self):
         rows = run_circuit(build("ctrl", "tiny"), configs=["baseline", "mch_area"])
@@ -105,6 +118,9 @@ class TestTable2:
         r = rows["square"]
         # MCH must never lose to the plain remap of the strashed network
         assert r.mch_luts <= r.strash_luts
+        # differential pin, recorded before the record chain became a script
+        assert (r.best_luts, r.best_levels, r.strash_luts, r.strash_levels,
+                r.mch_luts, r.mch_levels) == (31, 8, 51, 11, 45, 10)
         assert "square" in format_table2(rows)
 
 
@@ -113,6 +129,10 @@ class TestFig6:
         rows = run_fig6(names=["adder", "square"], scale="tiny")
         for name, r in rows.items():
             assert r.mch_nodes <= r.base_nodes * 1.05, name
+        # differential pins, recorded before the keep-best loops became
+        # converge scripts
+        assert rows["adder"] == Fig6Row(17, 6, 17, 6, 9, 3, 9, 3)
+        assert rows["square"] == Fig6Row(57, 13, 56, 12, 31, 8, 30, 8)
         s = summarize_fig6(rows)
         assert set(s) == {"graph_node_gain_%", "graph_level_gain_%",
                           "lut_node_gain_%", "lut_level_gain_%"}

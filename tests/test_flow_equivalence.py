@@ -7,7 +7,7 @@ import pytest
 from repro.circuits import build
 from repro.flow import Flow, FlowContext, FlowRunner, optimize, run_flow
 from repro.mapping.graph_mapper import graph_map
-from repro.opt import compress2rs, optimize_rounds, resyn2rs
+from repro.opt import optimize_rounds
 from repro.opt.balancing import balance
 from repro.sat import cec
 
@@ -33,7 +33,7 @@ class TestFlowVsLegacy:
     def test_compress2rs_flow_bit_matches_legacy(self, name):
         ntk = build(name, "tiny")
         old = legacy_compress2rs(ntk)
-        new = compress2rs(ntk)
+        new = optimize(ntk, "compress2rs")
         assert (new.num_gates(), new.depth()) == (old.num_gates(), old.depth())
         assert cec(ntk, new)
 
@@ -50,14 +50,9 @@ class TestFlowVsLegacy:
 
     def test_resyn2rs_flow_verified(self):
         ntk = build("cavlc", "tiny")
-        out = resyn2rs(ntk, rounds=2)
+        out = optimize(ntk, "resyn2rs", rounds=2)
         assert cec(ntk, out)
         assert out.num_gates() <= ntk.num_gates()
-
-    def test_optimize_front_door_matches_compress2rs(self):
-        ntk = build("router", "tiny")
-        assert optimize(ntk, rounds=2).num_gates() \
-            == compress2rs(ntk, rounds=2).num_gates()
 
 
 class TestOptimizeRounds:
@@ -67,9 +62,11 @@ class TestOptimizeRounds:
         deep = optimize_rounds(ntk, rounds=1, inner_rounds=4)
         assert len(shallow) == len(deep) == 2
         assert cec(ntk, shallow[1]) and cec(ntk, deep[1])
-        # inner_rounds=N is compress2rs(rounds=N) on each snapshot
-        assert deep[1].num_gates() == compress2rs(ntk, rounds=4).num_gates()
-        assert shallow[1].num_gates() == compress2rs(ntk, rounds=1).num_gates()
+        # inner_rounds=N is the compress2rs spec with rounds=N on each snapshot
+        assert deep[1].num_gates() \
+            == optimize(ntk, "compress2rs", rounds=4).num_gates()
+        assert shallow[1].num_gates() \
+            == optimize(ntk, "compress2rs", rounds=1).num_gates()
 
     def test_arbitrary_script_text_is_accepted(self):
         ntk = build("ctrl", "tiny")

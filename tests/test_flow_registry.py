@@ -231,6 +231,16 @@ class TestFlowContext:
         path.write_text(write_aag(build("ctrl", "tiny")))
         results = FlowRunner().run_many([build("router", "tiny"), str(path)], "b")
         assert len(results) == 2
+        # named specs resolve exactly as run_flow resolves them
+        from repro.batch.runner import state_fingerprint
+        from repro.flow import run_flow
+
+        ntk = load("adder", "tiny")
+        expected = state_fingerprint(run_flow(ntk, "compress2rs").network)
+        single = FlowRunner().run(ntk, "compress2rs")
+        assert state_fingerprint(single.network) == expected
+        batch = FlowRunner().run_many(["adder"], "compress2rs", scale="tiny")
+        assert state_fingerprint(batch["adder"].network) == expected
 
     def test_load_rejects_unknown(self):
         with pytest.raises(ValueError):

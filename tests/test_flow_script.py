@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flow import Flow, FlowScriptError
+from repro.flow import Flow, FlowScriptError, resolve_flow
 from repro.flow.script import Converge, PassStep, Repeat
 
 
@@ -145,8 +145,8 @@ class TestFlowObject:
 
     def test_of_coerces_scripts_and_passes_flows_through(self):
         flow = Flow.parse("b")
-        assert Flow.of(flow) is flow
-        assert Flow.of("b") == flow
+        assert resolve_flow(flow) is flow
+        assert resolve_flow("b") == flow
 
     def test_programmatic_construction_renders(self):
         flow = Flow((Converge((PassStep("b"), PassStep("gm", (("k", 5),))), 4),))

@@ -4,7 +4,8 @@ import pytest
 
 from repro.circuits import build
 from repro.mapping import asic_map
-from repro.opt import compress2rs, optimize_rounds, resyn2rs
+from repro.flow import optimize
+from repro.opt import optimize_rounds
 from repro.sat import cec
 
 
@@ -12,14 +13,14 @@ class TestResyn2rs:
     @pytest.mark.parametrize("name", ["ctrl", "int2float"])
     def test_equivalence_and_gain(self, name):
         ntk = build(name, "tiny")
-        out = resyn2rs(ntk, rounds=2)
+        out = optimize(ntk, "resyn2rs", rounds=2)
         assert cec(ntk, out)
         assert out.num_gates() <= ntk.num_gates()
 
     def test_not_worse_than_compress2rs_much(self):
         ntk = build("cavlc", "tiny")
-        deep = resyn2rs(ntk, rounds=2)
-        quick = compress2rs(ntk, rounds=2)
+        deep = optimize(ntk, "resyn2rs", rounds=2)
+        quick = optimize(ntk, "compress2rs", rounds=2)
         # the deeper flow should at least be competitive
         assert deep.num_gates() <= quick.num_gates() * 1.1
 

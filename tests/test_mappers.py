@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 
 from repro.circuits import build
 from repro.core import MchParams, build_mch
-from repro.mapping import graph_map, graph_map_iterate, lut_map
+from repro.flow import run_flow
+from repro.mapping import graph_map, lut_map
 from repro.networks import Aig, Mig, MixedNetwork, Xag, Xmg
 from repro.sat import cec
+
+#: XMG graph mapping iterated to a local optimum, at most four rounds
+ITERATE_XMG = "gm -r xmg; converge3( gm -r xmg )"
 
 
 def small_adder():
@@ -143,14 +147,14 @@ class TestGraphMap:
 
     def test_iterate_converges(self):
         ntk = build("sin", "tiny")
-        out = graph_map_iterate(ntk, Xmg, objective="area", max_rounds=4)
+        out = run_flow(ntk, ITERATE_XMG).network
         again = graph_map(out, Xmg, objective="area")
         assert again.num_gates() >= out.num_gates()
         assert cec(ntk, out)
 
     def test_graph_map_with_choices(self):
         ntk = build("adder", "tiny")
-        base = graph_map_iterate(ntk, Xmg, objective="area", max_rounds=4)
+        base = run_flow(ntk, ITERATE_XMG).network
         ch = build_mch(base, MchParams(representations=(Mig, Xmg)))
         improved = graph_map(ch, Xmg, objective="area")
         assert cec(ntk, improved)

@@ -8,7 +8,7 @@ from repro.core import ChoiceNetwork, MchParams, build_dch, build_mch, critical_
 from repro.core.critical import node_heights
 from repro.cuts import enumerate_cuts
 from repro.networks import Aig, Mig, MixedNetwork, Xag, Xmg
-from repro.opt import compress2rs, optimize_rounds
+from repro.opt import optimize_rounds
 from repro.sat import cec
 
 

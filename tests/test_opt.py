@@ -5,7 +5,8 @@ import pytest
 from repro.circuits import build
 from repro.networks import Aig, Xag
 from repro.networks.base import lit_not
-from repro.opt import balance, compress2rs, functional_classes, optimize_rounds, sweep
+from repro.flow import optimize
+from repro.opt import balance, functional_classes, optimize_rounds, sweep
 from repro.sat import cec
 
 
@@ -114,7 +115,7 @@ class TestFlows:
     @pytest.mark.parametrize("name", ["adder", "log2", "cavlc"])
     def test_compress2rs_reduces_and_preserves(self, name):
         ntk = build(name, "tiny")
-        out = compress2rs(ntk)
+        out = optimize(ntk, "compress2rs")
         assert cec(ntk, out)
         assert out.num_gates() <= ntk.num_gates()
 

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from repro.core import MchParams, build_mch
 from repro.mapping import asic_map, graph_map, lut_map
 from repro.networks import Aig, MixedNetwork, Mig, Xag, Xmg
-from repro.opt import balance, compress2rs, refactor, resub, sweep
+from repro.flow import optimize
+from repro.opt import balance, refactor, resub, sweep
 from repro.sat import cec
 
 
@@ -49,7 +50,7 @@ def random_network(seed: int, cls=Aig, n_pis: int = 6, n_gates: int = 40):
 @settings(max_examples=8, deadline=None)
 def test_full_pipeline_aig(seed):
     ntk = random_network(seed, Aig)
-    opt = compress2rs(ntk, rounds=1)
+    opt = optimize(ntk, "compress2rs", rounds=1)
     assert cec(ntk, opt), "compress2rs broke equivalence"
     mch = build_mch(opt, MchParams(representations=(Xmg,)))
     assert mch.verify(), "choice network corrupt"
