@@ -83,7 +83,7 @@ def _refactor(ntk, ctx: FlowContext, max_leaves=10, min_cone=3, zero_gain=False)
 @register_pass("rs", aliases=("resub",), verifying=True,
                args=(ArgSpec("max_divisors", "d", int, 150, "divisor window"),
                      ArgSpec("conflict_limit", "c", int, 1000, "SAT conflicts/check"),
-                     ArgSpec("max_checks", "n", int, 2000, "total SAT checks")),
+                     ArgSpec("max_checks", "n", int, 2000, "total candidate checks")),
                help="SAT-validated 1-resubstitution")
 def _resub(ntk, ctx: FlowContext, max_divisors=150, conflict_limit=1000,
            max_checks=2000):

@@ -275,7 +275,9 @@ class SimEngine:
     currently in the pool, recomputing only what changed since the last
     refresh: appended patterns are simulated as a narrow delta and OR-merged,
     appended nodes are simulated via the program's ``ops`` suffix.  The returned
-    list is the engine's working buffer — treat it as read-only.
+    list is the engine's working buffer — treat it as read-only.  Later
+    refreshes update that buffer in place, so a caller that needs a stable
+    view across pool growth must copy the words it uses.
     """
 
     def __init__(self, ntk, pool: Optional[PatternPool] = None, *,

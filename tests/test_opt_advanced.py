@@ -3,10 +3,12 @@
 import pytest
 
 from repro.circuits import build
+from repro.flow import FlowContext, FlowRunner
 from repro.networks import Aig, Mig, Xmg, convert
 from repro.networks.base import lit_not
 from repro.opt import mig_depth_rewrite, refactor, resub
 from repro.sat import cec
+from repro.sat.session import EquivalenceSession
 
 
 class TestRefactor:
@@ -77,6 +79,57 @@ class TestResub:
         ntk = convert(build("adder", "tiny"), Mig)
         out = resub(ntk)  # no AND gates to target
         assert out is ntk or cec(ntk, out)
+
+
+#: ``structural_hash()`` after ``b; rf; rs; sw``: every bundled circuit at
+#: tiny, plus the five control circuits of the SAT-heavy benchmark at small.
+#: Candidate filtering may only change how a rewrite is found, never which.
+RESUB_DIGESTS = {
+    ("adder", "tiny"): "0fb021f16c9613a3",
+    ("bar", "tiny"): "fbda129c49483488",
+    ("div", "tiny"): "92fcb8cebe7ed45c",
+    ("hyp", "tiny"): "07de4d3e16de4472",
+    ("log2", "tiny"): "8291fd45a24cab68",
+    ("max", "tiny"): "dc19bf9567f93b80",
+    ("multiplier", "tiny"): "d6eb18e3aeff2df8",
+    ("sin", "tiny"): "bd300a2208d8030e",
+    ("sqrt", "tiny"): "583f43e5b804b483",
+    ("square", "tiny"): "175bed43fabcc4fc",
+    ("arbiter", "tiny"): "6f09be0f252933a7",
+    ("cavlc", "tiny"): "11a118f47457cec7",
+    ("ctrl", "tiny"): "012a858ab197e9ca",
+    ("dec", "tiny"): "f6a188cdfb30a0f7",
+    ("i2c", "tiny"): "c5f564cf664ef275",
+    ("int2float", "tiny"): "48c40207d4566666",
+    ("mem_ctrl", "tiny"): "87b9c5eafe7149fe",
+    ("priority", "tiny"): "7a5486246fb7583f",
+    ("router", "tiny"): "c8bb3bfbe9f863ae",
+    ("voter", "tiny"): "d0703d57dc10743d",
+    ("cavlc", "small"): "11a118f47457cec7",
+    ("i2c", "small"): "c5f564cf664ef275",
+    ("priority", "small"): "8e838108e824191c",
+    ("router", "small"): "c8bb3bfbe9f863ae",
+    ("int2float", "small"): "a1b3ac79c62b93ae",
+}
+
+
+class TestResubDigests:
+    @pytest.mark.parametrize("name,scale", sorted(RESUB_DIGESTS),
+                             ids=lambda v: str(v))
+    def test_pinned_digest(self, name, scale):
+        result = FlowRunner(FlowContext()).run(build(name, scale), "b; rf; rs; sw")
+        assert result.network.structural_hash() == RESUB_DIGESTS[(name, scale)]
+
+    def test_simulation_screens_sat_queries(self):
+        # every candidate check on cavlc used to be a SAT query (2000, the
+        # cap); counterexamples recycled within a node now refute almost all
+        # of them before the solver is asked
+        ntk = FlowRunner(FlowContext()).run(build("cavlc", "tiny"), "b; rf").network
+        session = EquivalenceSession(ntk)
+        out = resub(ntk, session=session)
+        assert cec(ntk, out)
+        assert session.queries <= 50
+        assert session.timeouts == 0
 
 
 class TestMigDepthRewrite:
