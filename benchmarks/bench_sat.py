@@ -1,7 +1,8 @@
 """Micro-benchmark: the verification stack (cec / resub / sweep / solver).
 
 Measures, on the largest bundled circuit whose PI count forces the SAT path
-(``cec`` falls back to exhaustive simulation below ``sim_limit`` inputs):
+(``cec`` decides circuits of at most ``EXHAUSTIVE_PIS`` inputs by exhaustive
+simulation):
 
 * ``cec`` of the circuit against a balanced copy through the current stack
   (shared pattern pool + incremental equivalence session + optimized CDCL
@@ -33,11 +34,10 @@ from _baseline_sat import baseline_cec
 from repro.circuits import ALL_BENCHMARKS, build
 from repro.opt import balance, resub, sweep
 from repro.sat import cec, reset_solver_stats, solver_stats
+from repro.sat.cec import EXHAUSTIVE_PIS
 from repro.sim import reset_sim_stats, sim_stats
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "tiny")
-#: cec's default exhaustive-simulation cutoff; below this the solver is idle
-SIM_LIMIT = 12
 
 
 def largest_sat_path_circuit(scale: str):
@@ -45,7 +45,7 @@ def largest_sat_path_circuit(scale: str):
     best_name, best_ntk = None, None
     for name in ALL_BENCHMARKS:
         ntk = build(name, scale)
-        if ntk.num_pis() <= SIM_LIMIT:
+        if ntk.num_pis() <= EXHAUSTIVE_PIS:
             continue
         if best_ntk is None or ntk.num_gates() > best_ntk.num_gates():
             best_name, best_ntk = name, ntk

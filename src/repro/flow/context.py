@@ -28,6 +28,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..sat.cec import EXHAUSTIVE_PIS
+
 __all__ = ["FlowContext", "PassMetrics", "state_kind", "state_cost", "state_summary"]
 
 
@@ -211,7 +213,7 @@ class FlowContext:
             self._npn_caches[target_cls] = cache
         return cache
 
-    def cec(self, a, b, sim_limit: int = 12):
+    def cec(self, a, b, sim_limit: int = EXHAUSTIVE_PIS):
         """Equivalence-check two states through the shared engines.
 
         When ``a`` is a plain logic network needing a SAT miter (PI count

@@ -2,8 +2,11 @@
 
 Strategy, mirroring practical CEC engines:
 
-1. **Exhaustive simulation** when the PI count is small (≤ ``sim_limit``):
-   bit-parallel truth-table comparison, exact and fast.
+1. **Exhaustive simulation** when the PI count is small (≤ ``sim_limit``,
+   by default :data:`EXHAUSTIVE_PIS` = 20): all ``2**n`` inputs are
+   enumerated in windows of ``2**12`` patterns, so a node's simulation word
+   never exceeds 512 bytes.  Exact, and far cheaper than a miter at this
+   size: such circuits never build a CNF or a solver.
 2. **Random simulation** over a shared :class:`~repro.sim.engine.PatternPool`
    to hunt for cheap counterexamples.
 3. **SAT miter**: one :class:`~repro.sat.session.EquivalenceSession` encodes
@@ -23,10 +26,17 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..networks.base import LogicNetwork, require_combinational
-from ..sim.engine import PatternPool, SimEngine
+from ..sim.engine import PatternPool, SimEngine, simulate_words
+from ..truth.truth_table import var_mask
 from .session import EquivalenceSession
 
-__all__ = ["cec", "CecResult", "find_counterexample"]
+__all__ = ["cec", "CecResult", "find_counterexample", "EXHAUSTIVE_PIS"]
+
+#: PI count up to which :func:`cec` decides by exhaustive simulation; the
+#: same ceiling :meth:`LogicNetwork.simulate_truth_tables` enforces
+EXHAUSTIVE_PIS = 20
+#: PIs enumerated inside one simulation word: a window is 2**12 patterns
+_WINDOW_PIS = 12
 
 
 class CecResult:
@@ -71,6 +81,33 @@ def _sim_counterexample(ea: SimEngine, eb: SimEngine,
     return None
 
 
+def _exhaustive_counterexample(a: LogicNetwork,
+                               b: LogicNetwork) -> Optional[List[bool]]:
+    """Enumerate every input; the first distinguishing one, or None.
+
+    The low ``w = min(n, 12)`` PIs get the projection masks of one
+    ``2**w``-bit word; the remaining PIs are constant words set from the bits
+    of the window index, so ``2**(n - w)`` windows cover all inputs.
+    """
+    n = a.num_pis()
+    if n > EXHAUSTIVE_PIS:
+        raise ValueError("too many PIs for exhaustive simulation")
+    w = min(n, _WINDOW_PIS)
+    mask = (1 << (1 << w)) - 1
+    low = [var_mask(w, i) for i in range(w)]
+    for window in range(1 << (n - w)):
+        high = [bool((window >> j) & 1) for j in range(n - w)]
+        words = low + [mask if h else 0 for h in high]
+        va = simulate_words(a, words, mask)
+        vb = simulate_words(b, words, mask)
+        for pa, pb in zip(a.pos, b.pos):
+            diff = va[pa >> 1] ^ vb[pb >> 1] ^ (mask if (pa ^ pb) & 1 else 0)
+            if diff:
+                bit = (diff & -diff).bit_length() - 1
+                return [bool((bit >> i) & 1) for i in range(w)] + high
+    return None
+
+
 def find_counterexample(a: LogicNetwork, b: LogicNetwork, rounds: int = 64,
                         width: int = 64, seed: int = 1,
                         pool: Optional[PatternPool] = None) -> Optional[List[bool]]:
@@ -89,10 +126,16 @@ def find_counterexample(a: LogicNetwork, b: LogicNetwork, rounds: int = 64,
     return _sim_counterexample(ea, eb, pool)
 
 
-def cec(a: LogicNetwork, b: LogicNetwork, sim_limit: int = 12,
+def cec(a: LogicNetwork, b: LogicNetwork, sim_limit: int = EXHAUSTIVE_PIS,
         sim_rounds: int = 16, pool: Optional[PatternPool] = None,
         session: Optional[EquivalenceSession] = None) -> CecResult:
     """Check combinational equivalence of two networks (PO-by-PO, in order).
+
+    Networks of at most ``sim_limit`` PIs (default :data:`EXHAUSTIVE_PIS`)
+    are decided by windowed exhaustive simulation; wider ones go through
+    random simulation and then the SAT miter.  Enumeration time doubles with
+    every PI, so with a ``sim_limit`` above :data:`EXHAUSTIVE_PIS`, networks
+    wider than that ceiling still raise ``ValueError``.
 
     A caller-supplied ``session`` (one that already Tseitin-encodes ``a`` as
     its first network, e.g. the cached session of a
@@ -105,14 +148,9 @@ def cec(a: LogicNetwork, b: LogicNetwork, sim_limit: int = 12,
     _interface_check(a, b)
 
     if a.num_pis() <= sim_limit:
-        ta = a.simulate_truth_tables()
-        tb = b.simulate_truth_tables()
-        for i, (x, y) in enumerate(zip(ta, tb)):
-            if x != y:
-                diff = x.bits ^ y.bits
-                m = (diff & -diff).bit_length() - 1
-                cex = [bool((m >> v) & 1) for v in range(a.num_pis())]
-                return CecResult(False, cex, "exhaustive simulation")
+        cex = _exhaustive_counterexample(a, b)
+        if cex is not None:
+            return CecResult(False, cex, "exhaustive simulation")
         return CecResult(True, method="exhaustive simulation")
 
     if session is not None:

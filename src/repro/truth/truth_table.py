@@ -34,14 +34,15 @@ def var_mask(num_vars: int, var: int) -> int:
         return _VAR_MASKS[num_vars][var]
     except KeyError:
         masks = []
+        rows = 1 << num_vars
         for v in range(num_vars):
-            # repeat the (0^{2^v} 1^{2^v}) pattern across all 2^num_vars rows
-            period = 1 << (v + 1)
-            reps = (1 << num_vars) // period
-            unit = ((1 << (1 << v)) - 1) << (1 << v)
-            val = 0
-            for i in range(reps):
-                val |= unit << (i * period)
+            # repeat the (0^{2^v} 1^{2^v}) pattern across all 2^num_vars rows,
+            # doubling the filled width so the cost stays linear in the rows
+            val = ((1 << (1 << v)) - 1) << (1 << v)
+            width = 1 << (v + 1)
+            while width < rows:
+                val |= val << width
+                width <<= 1
             masks.append(val)
         _VAR_MASKS[num_vars] = masks
         return masks[var]

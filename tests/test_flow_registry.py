@@ -294,10 +294,18 @@ class TestNestedContext:
 
     def test_context_cec_reuses_reference_session(self):
         ctx = FlowContext()
-        ntk = build("mem_ctrl", "tiny")       # > 12 PIs: SAT territory
+        ntk = build("mem_ctrl", "tiny")       # 26 PIs > EXHAUSTIVE_PIS: SAT miter
         FlowRunner(ctx).run(ntk, "b; cec; rf; cec")
         sessions = [k for k in ctx._eq_sessions if k == ntk.structural_hash()]
         assert len(sessions) == 1, "both cec passes must share one encoding"
+
+    def test_context_cec_enumerates_up_to_exhaustive_limit(self):
+        ctx = FlowContext()
+        ntk = build("i2c", "small")           # 18 PIs: windowed enumeration
+        out = FlowRunner(ctx).run(ntk, "b").network
+        res = ctx.cec(ntk, out)
+        assert bool(res) and res.method == "exhaustive simulation"
+        assert not ctx._eq_sessions, "no miter may be encoded below the limit"
 
     def test_run_many_keeps_repeated_circuits(self):
         results = FlowRunner().run_many(["ctrl", "ctrl"], "b", scale="tiny")
@@ -307,7 +315,9 @@ class TestNestedContext:
         ctx = FlowContext()
         ntk = build("mem_ctrl", "tiny")
         out = FlowRunner(ctx).run(ntk, "b").network
-        assert bool(ctx.cec(ntk, out)) and bool(ctx.cec(ntk, out))
+        first = ctx.cec(ntk, out)
+        assert first.method == "sat", "26 PIs must keep exercising the SAT miter"
+        assert bool(first) and bool(ctx.cec(ntk, out))
         (session,) = [s for k, s in ctx._eq_sessions.items()
                       if k == ntk.structural_hash()]
         assert len(session.networks) == 2, "identical check must reuse the encoding"

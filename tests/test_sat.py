@@ -3,12 +3,15 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.networks import Aig, Mig, MixedNetwork, Xmg, convert
 from repro.networks.base import lit_not
+from repro.opt import balance
 from repro.sat import SAT, UNSAT, CnfBuilder, Solver, cec
+from repro.sat.cec import EXHAUSTIVE_PIS
 
 
 def brute_force(clauses, num_vars):
@@ -201,3 +204,61 @@ class TestCec:
         res = cec(n1, n2, sim_limit=4)
         assert not res
         assert n1.simulate(res.counterexample) != n2.simulate(res.counterexample)
+
+
+def random_aig_pair(rng, n_pis, n_gates=40, n_pos=3, mutate=False):
+    """A random AIG and a twin: its balanced copy, or a copy with one
+    gate's fanin complemented (which may or may not change a PO)."""
+    ops = [(rng.randrange(n_pis + g), rng.random() < 0.5,
+            rng.randrange(n_pis + g), rng.random() < 0.5)
+           for g in range(n_gates)]
+    flip = rng.randrange(n_gates) if mutate else -1
+
+    def build(flip_at):
+        ntk = Aig()
+        lits = [ntk.create_pi() for _ in range(n_pis)]
+        for g, (i, ci, j, cj) in enumerate(ops):
+            x = lit_not(lits[i]) if ci != (g == flip_at) else lits[i]
+            y = lit_not(lits[j]) if cj else lits[j]
+            lits.append(ntk.create_and(x, y))
+        for lit in lits[-n_pos:]:
+            ntk.create_po(lit)
+        return ntk
+
+    a = build(-1)
+    return a, (build(flip) if mutate else balance(a))
+
+
+class TestWindowedExhaustiveCec:
+    def test_matches_sat_miter_on_random_pairs(self):
+        rng = random.Random(19)
+        refuted = 0
+        for k in range(24):
+            n_pis = rng.randint(13, EXHAUSTIVE_PIS)
+            a, b = random_aig_pair(rng, n_pis, mutate=k % 3 != 0)
+            res = cec(a, b)
+            assert res.method == "exhaustive simulation"
+            assert bool(res) == bool(cec(a, b, sim_limit=0)), (k, n_pis)
+            if not res:
+                refuted += 1
+                cex = res.counterexample
+                assert len(cex) == n_pis
+                assert a.simulate(cex) != b.simulate(cex), (k, cex)
+        assert refuted >= 5, "the fuzz must exercise counterexamples"
+
+    def test_difference_in_last_window_only(self):
+        n1 = Aig()
+        n1.create_po(n1.create_nary_and([n1.create_pi() for _ in range(20)]))
+        n2 = Aig()
+        for _ in range(20):
+            n2.create_pi()
+        n2.create_po(n2.const0)
+        res = cec(n1, n2)
+        assert not res and res.method == "exhaustive simulation"
+        assert res.counterexample == [True] * 20
+
+    def test_sim_limit_above_ceiling_still_rejects_wide_networks(self):
+        n1 = Aig()
+        n1.create_po(n1.create_nary_and([n1.create_pi() for _ in range(21)]))
+        with pytest.raises(ValueError):
+            cec(n1, n1, sim_limit=21)

@@ -27,6 +27,20 @@ class TestConstruction:
         assert var_mask(2, 1) == 0b1100
         assert var_mask(3, 2) == 0xF0
 
+    def test_var_mask_bits_match_minterm_index(self):
+        for n in range(11):
+            for v in range(n):
+                m = var_mask(n, v)
+                assert m >> (1 << n) == 0
+                assert all((m >> i) & 1 == (i >> v) & 1 for i in range(1 << n))
+
+    def test_var_mask_twenty_vars(self):
+        for v in range(20):
+            m = var_mask(20, v)
+            assert bin(m).count("1") == 1 << 19
+            for i in (0, 1, (1 << v) - 1, 1 << v, 0x5A5A5, (1 << 20) - 1):
+                assert (m >> i) & 1 == (i >> v) & 1
+
     def test_var_mask_out_of_range(self):
         with pytest.raises(ValueError):
             var_mask(2, 2)
