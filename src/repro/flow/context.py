@@ -277,6 +277,7 @@ class FlowContext:
 
     def stats(self) -> dict:
         """Aggregate engine statistics across everything this context ran."""
+        from ..mapping.engine import library_model_stats
         from ..sat import solver_stats
         from ..sim import sim_stats
 
@@ -286,6 +287,7 @@ class FlowContext:
             "pools": {n: p.n_patterns for n, p in self._pools.items()},
             "equivalence_sessions": [s.stats() for s in self._eq_sessions.values()],
             "mapping_sessions": [s.stats() for s in self._mapping_subjects],
+            "library_models": library_model_stats(),
             "solver": solver_stats(),
             "sim": sim_stats(),
         }

@@ -13,9 +13,13 @@ Delay model: fixed per-pin cell delays in ps, load-independent (see
 under required times; ``'area'`` minimizes area flow directly.
 
 Cuts come from the shared :class:`~repro.mapping.engine.MappingSession` cut
-database and Boolean matching runs through the memoizing
-:class:`~repro.mapping.engine.LibraryCostModel`, so repeated mappings of the
-same subject (or the same library) share all the expensive precomputation.
+database and Boolean matching runs through
+:class:`~repro.mapping.engine.LibraryCostModel`, which memoizes the match rows
+of every distinct cut function: each row is a cell plus its pins indexed into
+the cut's full leaf tuple, so every covering pass selects straight from the
+rows and builds an implementation record only for the winner.  Repeated
+mappings of the same subject (or the same library) share all the expensive
+precomputation.
 
 The covering loop is this module's own rather than
 :func:`~repro.mapping.engine.run_cover`: it covers two phases per node, relaxes
@@ -53,7 +57,7 @@ class _Impl:
 
     kind: str                                    # "match", "inv" or "const"
     cell: Optional[Cell] = None                  # None for kind == "const"
-    leaves: Sequence[int] = ()                   # cut leaves on the support
+    leaves: Sequence[int] = ()                   # the cut's full leaf tuple
     pins: Sequence[Tuple[int, int, float]] = ()  # (variable, leaf phase, delay)
     value: bool = False                          # for kind == "const"
 
@@ -106,22 +110,26 @@ class AsicMapper:
             """(Re)select the best implementation of both phases of node m."""
             for phase in (0, 1):
                 best = None
-                for im in self._candidates(m, phase):
+                for cell, leaves, pins in self._rows(m, phase):
                     arr = fl = 0.0
-                    if im.kind == "match":
-                        fl = im.cell.area
-                        for var, lp, d in im.pins:
-                            leaf = im.leaves[var]
-                            arr = max(arr, arrival[leaf][lp] + d)
+                    if cell is not None:
+                        fl = cell.area
+                        for var, lp, d in pins:
+                            leaf = leaves[var]
+                            a = arrival[leaf][lp] + d
+                            if a > arr:
+                                arr = a
                             fl += flow[leaf][lp] / refs[leaf]
                         if arr == INF or (required is not None
                                           and arr > required[m][phase] + 1e-9):
                             continue
                     key = (arr, fl) if delay_first else (fl, arr)
                     if best is None or key < best_key:
-                        best, best_key, best_arr, best_fl = im, key, arr, fl
+                        best, best_key, best_arr, best_fl = (cell, leaves, pins), key, arr, fl
                 if best is not None:
-                    impl[m][phase] = best
+                    cell, leaves, pins = best
+                    impl[m][phase] = (_Impl("const", value=pins) if cell is None
+                                      else _Impl("match", cell, leaves, pins))
                     arrival[m][phase], flow[m][phase] = best_arr, best_fl
                 elif impl[m][phase] is None:
                     arrival[m][phase] = flow[m][phase] = INF
@@ -170,21 +178,18 @@ class AsicMapper:
 
         return self._derive(impl)
 
-    def _candidates(self, m: int, phase: int) -> Iterator[_Impl]:
-        """Const and match implementations of (m, phase): the node's cuts in
-        order, and each cut's library matches in order."""
-        costs = self.costs
+    def _rows(self, m: int, phase: int) -> Iterator[tuple]:
+        """``(cell, leaves, pins)`` candidates of (m, phase): the node's cuts
+        in order, skipping its trivial cut, and each cut's memoized match
+        rows in order.  ``pins`` index ``leaves``; a ``None`` cell marks a
+        phase that is constant (a zero-cost tie) and ``pins`` is its value."""
+        rows = self.costs.rows
         for cut in self.cuts[m]:
-            if len(cut.leaves) == 1 and cut.leaves[0] == m:
+            leaves = cut.leaves
+            if len(leaves) == 1 and leaves[0] == m:
                 continue
-            small, sup = costs.min_base(cut.tt if phase == 0 else ~cut.tt)
-            if small.num_vars == 0:
-                # the node is constant under this phase: zero-cost tie
-                yield _Impl("const", value=small.is_const1())
-                continue
-            leaves = [cut.leaves[s] for s in sup]
-            for match in costs.matches(small):
-                yield _Impl("match", match.cell, leaves, match.pins)
+            for cell, pins in rows(cut.tt)[phase]:
+                yield cell, leaves, pins
 
     def _inverter(self, node: int, phase: int) -> _Impl:
         """(node, phase) as an inverter driven by the opposite phase."""
@@ -278,14 +283,17 @@ class AsicMapper:
                 self._walk(m, phase, refs, impl, -1)
                 best, best_arr = old, arrival[m][phase]
                 best_key = (self._trial_area(m, phase, old, refs, impl), best_arr)
-                for im in self._candidates(m, phase):
-                    if im.kind == "const":
+                for cell, leaves, pins in self._rows(m, phase):
+                    if cell is None:
                         continue
                     arr = 0.0
-                    for var, lp, d in im.pins:
-                        arr = max(arr, arrival[im.leaves[var]][lp] + d)
+                    for var, lp, d in pins:
+                        a = arrival[leaves[var]][lp] + d
+                        if a > arr:
+                            arr = a
                     if arr == INF or arr > required[m][phase] + 1e-9:
                         continue
+                    im = _Impl("match", cell, leaves, pins)
                     key = (self._trial_area(m, phase, im, refs, impl), arr)
                     if key < best_key:
                         best, best_key, best_arr = im, key, arr

@@ -12,7 +12,7 @@ This module is the common substrate of all three cut-based mappers:
   mapper uses :class:`UnitCostModel` (one LUT per cut), graph mapping uses
   :class:`NpnCostModel` (estimated target-representation gate count), and
   the ASIC mapper's Boolean matching runs through :class:`LibraryCostModel`
-  (memoized min-base reduction + library match lookup).
+  (library match rows memoized per cut function).
 * :func:`run_cover` is the covering pipeline of the K-LUT and graph
   mappers — depth-oriented pass, global required times, area-flow recovery
   and exact-area recovery with reference counting.  The phase-aware ASIC
@@ -43,6 +43,7 @@ __all__ = [
     "NpnCostModel",
     "LibraryCostModel",
     "library_cost_model",
+    "library_model_stats",
     "run_cover",
 ]
 
@@ -262,9 +263,12 @@ class LibraryCostModel:
     """Boolean-matching cost layer for standard-cell mapping.
 
     Owns the pre-expanded :class:`~repro.mapping.matcher.MatchTable` of a
-    library and memoizes the min-base reduction (support minimization) of
-    every cut function it sees — the part the phase-aware mapper used to
-    recompute for every (cut, phase, pass) triple.
+    library and memoizes, per distinct cut function, the phase-resolved
+    match rows the phase-aware mapper selects from (:meth:`rows`): the
+    min-base reduction and library lookup of both polarities run once per
+    function rather than once per (cut, phase, pass) triple.  The memo is
+    bounded by the number of distinct ``max_pins``-input functions, not by
+    network size.
     """
 
     def __init__(self, library, max_pins: int = 4):
@@ -274,17 +278,35 @@ class LibraryCostModel:
         self.max_pins = min(max_pins, library.max_pins)
         self.table = MatchTable(library, max_pins=self.max_pins)
         self.inverter = library.inverter
-        self._minbase: Dict[Tuple[int, int], Tuple[TruthTable, Tuple[int, ...]]] = {}
+        self._rows: Dict[Tuple[int, int], Tuple[tuple, tuple]] = {}
+
+    def rows(self, tt: TruthTable) -> Tuple[tuple, tuple]:
+        """Match rows of a cut function in phase 0 (``tt``) and 1 (``~tt``).
+
+        Each phase is a tuple of ``(cell, pins)`` rows in :meth:`matches`
+        order, where ``pins`` holds one ``(variable, leaf phase, pin delay)``
+        row per cell input and ``variable`` indexes ``tt``'s own variables
+        (the support reduction is already undone).  A phase that is
+        constant is the single row ``(None, value)``.
+        """
+        key = (tt.num_vars, tt.bits)
+        got = self._rows.get(key)
+        if got is None:
+            got = (self._phase_rows(tt), self._phase_rows(~tt))
+            self._rows[key] = got
+        return got
+
+    def _phase_rows(self, f: TruthTable) -> tuple:
+        small, sup = self.min_base(f)
+        if small.num_vars == 0:
+            return ((None, small.is_const1()),)
+        return tuple((match.cell, tuple((sup[v], lp, d) for v, lp, d in match.pins))
+                     for match in self.matches(small))
 
     def min_base(self, tt: TruthTable) -> Tuple[TruthTable, Tuple[int, ...]]:
-        """Memoized ``tt.min_base()`` — (support-reduced tt, support vars)."""
-        key = (tt.num_vars, tt.bits)
-        got = self._minbase.get(key)
-        if got is None:
-            small, sup = tt.min_base()
-            got = (small, tuple(sup))
-            self._minbase[key] = got
-        return got
+        """``tt.min_base()`` — (support-reduced tt, support vars)."""
+        small, sup = tt.min_base()
+        return small, tuple(sup)
 
     def matches(self, small: TruthTable):
         """Library matches realizing exactly ``small`` (same polarity)."""
@@ -294,7 +316,7 @@ class LibraryCostModel:
         return {
             "library": self.library.name,
             "table_entries": self.table.num_entries(),
-            "minbase_memo": len(self._minbase),
+            "rows_memo": len(self._rows),
         }
 
 
@@ -319,6 +341,11 @@ def library_cost_model(library, max_pins: int = 4) -> LibraryCostModel:
     else:
         _LIBRARY_MODELS.move_to_end(key)
     return model
+
+
+def library_model_stats() -> List[dict]:
+    """:meth:`LibraryCostModel.stats` of every cached cost model."""
+    return [model.stats() for model in _LIBRARY_MODELS.values()]
 
 
 # ---------------------------------------------------------------------- #

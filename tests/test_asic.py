@@ -8,13 +8,16 @@ from repro.circuits import build
 from repro.core import MchParams, build_mch
 from repro.flow import run_flow
 from repro.mapping import (
+    LibraryCostModel,
+    MappingSession,
     MatchTable,
     asap7_library,
     asic_map,
+    library_cost_model,
     parse_genlib,
     write_genlib,
 )
-from repro.mapping.library import parse_expression
+from repro.mapping.library import Library, parse_expression
 from repro.mapping.supergates import expand_with_supergates
 from repro.networks import Aig, Xag, Xmg
 from repro.sat import cec
@@ -186,6 +189,19 @@ def netlist_digest(nl) -> str:
     return hashlib.sha256(repr((rows, nl.pos)).encode()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def converged():
+    """``converge4( b; gm; b )`` of a small-scale circuit, run once per
+    circuit for the whole module (``mch`` does not mutate its input)."""
+    done = {}
+
+    def get(name):
+        if name not in done:
+            done[name] = run_flow(build(name, "small"), "converge4( b; gm; b )").network
+        return done[name]
+    return get
+
+
 class TestReferenceDigests:
     """Netlists pinned to the digests of the recursive AsicMapper that the
     iterative cover replaced: any change in candidate order, tie-breaking or
@@ -213,9 +229,32 @@ class TestReferenceDigests:
         ("mch -p xmg -r 1.5", "area",
          "669a599f248e06e184e26748cf227c87604ebe50685501516e79a47be8f0eda5"),
     ])
-    def test_int2float_choice_network(self, script, objective, digest):
-        ntk = build("int2float", "small")
-        choices = run_flow(ntk, f"converge4( b; gm; b ); {script}").network
+    def test_int2float_choice_network(self, converged, script, objective, digest):
+        choices = run_flow(converged("int2float"), script).network
+        assert netlist_digest(asic_map(choices, objective=objective)) == digest
+
+    @pytest.mark.parametrize("name,script,objective,digest", [
+        ("cavlc", "mch -p xmg,xag -r 0.6", "delay",
+         "907189aed6ee147a3638cacb8e7c423486fab041dc7b8633f122b4b4449af117"),
+        ("cavlc", "mch -p xmg -r 1.5", "area",
+         "0dd6fb23a31da8e8e887d60894f6956e74fdcaa9516a5b2563f2d71bfe33b8f2"),
+        ("i2c", "mch -p xmg,xag -r 0.6", "delay",
+         "c7bbfb5a112ad3e378c727dd0d16c98e442c328f99bfda88c0edf00a4302e76b"),
+        ("i2c", "mch -p xmg -r 1.5", "area",
+         "a18ac4d59e0350ef64ce565216f6125e8c42da6b7828926a8357885912592d9b"),
+        ("priority", "mch -p xmg,xag -r 0.6", "delay",
+         "007c082a72ad9fa1d3de2a026aec7ee576439b197c044cc9da6f5ca50599a6d4"),
+        ("priority", "mch -p xmg -r 1.5", "area",
+         "91be828cdbc076ad57dfea4a3e91d0ed3f7f7cf9bef90baf02e4d66cf02eacf8"),
+        ("router", "mch -p xmg,xag -r 0.6", "delay",
+         "66dbb68b3d2d4df4c456069fed280ffdadee3a64b1249662124f8085144bf536"),
+        ("router", "mch -p xmg -r 1.5", "area",
+         "e95698874bc5fa638d722eedd3a5d902ce2d63632d0c9a96cc98e2bf4eca559f"),
+    ])
+    def test_control_choice_network(self, converged, name, script, objective, digest):
+        """The other four Table I control circuits under both Table I
+        configs, at the scale the benchmark maps them."""
+        choices = run_flow(converged(name), script).network
         assert netlist_digest(asic_map(choices, objective=objective)) == digest
 
     @pytest.mark.parametrize("name,objective,digest", [
@@ -228,3 +267,49 @@ class TestReferenceDigests:
         lib = expand_with_supergates(asap7_library())
         nl = asic_map(build(name, "tiny"), library=lib, objective=objective)
         assert netlist_digest(nl) == digest
+
+
+class TestMatchRowsMemo:
+    """``LibraryCostModel`` matches each cut function once: the mapper's
+    passes (and later mappings) select from its memoized rows."""
+
+    SCRIPT = "converge4( b; gm; b ); mch -p xmg,xag -r 0.6"
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"min_base": 0, "matches": 0}
+        for name in calls:
+            def counted(self, tt, _orig=getattr(LibraryCostModel, name), _name=name):
+                calls[_name] += 1
+                return _orig(self, tt)
+            monkeypatch.setattr(LibraryCostModel, name, counted)
+        return calls
+
+    def test_each_function_matched_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        asap7 = asap7_library()
+        fresh = Library(asap7.name, asap7.cells)  # a new object: an empty memo
+        choices = run_flow(build("int2float", "tiny"), self.SCRIPT).network
+        first = asic_map(choices, library=fresh)
+        db = MappingSession.of(choices).cut_database(4, 8)
+        functions = {(c.tt.num_vars, c.tt.bits) for cuts in db.cut_lists() for c in cuts}
+        assert 0 < calls["min_base"] <= 2 * len(functions)
+        assert library_cost_model(fresh).stats()["rows_memo"] <= len(functions)
+
+        calls.update(min_base=0, matches=0)
+        again = run_flow(build("int2float", "tiny"), self.SCRIPT).network
+        second = asic_map(again, library=fresh)
+        assert calls == {"min_base": 0, "matches": 0}
+        assert netlist_digest(second) == netlist_digest(first)
+        assert netlist_digest(first) == netlist_digest(asic_map(choices))
+
+    def test_supergate_library_has_its_own_memo(self):
+        asap7 = asap7_library()
+        supergates = expand_with_supergates(asap7)
+        asic_map(build("adder", "tiny"), objective="delay")
+        nl = asic_map(build("adder", "tiny"), library=supergates, objective="delay")
+        assert netlist_digest(nl) == \
+            "6ab44156941d82d733530914a3a96d48f23e80677bc565fe0cf3a8ecd5f99add"
+        plain, expanded = library_cost_model(asap7), library_cost_model(supergates)
+        assert plain is not expanded and plain._rows is not expanded._rows
+        assert expanded.stats()["rows_memo"] > 0

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main, make_parser
@@ -140,6 +142,9 @@ class TestRunCommand:
                      "--engine-stats"]) == 0
         out = capsys.readouterr().out
         assert "cells" in out and "engine stats" in out
+        stats = json.loads(out[out.index("engine stats:") + len("engine stats:"):])
+        models = [m for m in stats["library_models"] if m["library"] == "asap7-like"]
+        assert models and models[0]["rows_memo"] > 0
 
     def test_passes_links_docs(self, capsys):
         assert main(["passes"]) == 0

@@ -98,17 +98,24 @@ class TestCostModels:
         lib = asap7_library()
         assert library_cost_model(lib, 4) is library_cost_model(lib, 4)
 
-    def test_library_min_base_memoized(self):
+    def test_library_rows_memoized(self):
         lib = asap7_library()
         model = library_cost_model(lib, 4)
         ntk = build("ctrl", "tiny")
         db = CutDatabase(ntk, k=4, cut_limit=6)
         cut = db.cuts(max(ntk.gates()))[0]
-        small, sup = model.min_base(cut.tt)
-        small2, sup2 = model.min_base(cut.tt)
-        assert small.bits == small2.bits and sup == sup2
-        ref_small, ref_sup = cut.tt.min_base()
-        assert small.bits == ref_small.bits and list(sup) == list(ref_sup)
+        rows = model.rows(cut.tt)
+        assert model.rows(cut.tt) is rows and all(rows)
+        # each row's pins index the cut's own variables: evaluating the
+        # cell on them reproduces the function in that phase
+        for phase, rows_of_phase in enumerate(rows):
+            want = cut.tt if phase == 0 else ~cut.tt
+            for cell, pins in rows_of_phase:
+                for x in range(1 << cut.tt.num_vars):
+                    args = 0
+                    for i, (var, lp, _) in enumerate(pins):
+                        args |= (((x >> var) & 1) ^ lp) << i
+                    assert cell.function.get_bit(args) == want.get_bit(x)
 
     def test_run_cover_rejects_bad_objective(self):
         ntk = build("ctrl", "tiny")
