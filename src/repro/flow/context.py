@@ -280,6 +280,7 @@ class FlowContext:
         from ..mapping.engine import library_model_stats
         from ..sat import solver_stats
         from ..sim import sim_stats
+        from ..synthesis.factoring import plan_memo_stats
 
         out: dict = {
             "passes": len(self.metrics),
@@ -288,6 +289,7 @@ class FlowContext:
             "equivalence_sessions": [s.stats() for s in self._eq_sessions.values()],
             "mapping_sessions": [s.stats() for s in self._mapping_subjects],
             "library_models": library_model_stats(),
+            "synthesis_plans": plan_memo_stats(),
             "solver": solver_stats(),
             "sim": sim_stats(),
         }

@@ -1,10 +1,29 @@
-"""Structure builders: truth table / SOP / DSD tree -> subnetwork.
+"""Structure builders: truth table -> plan -> subnetwork.
 
 These are the primitives behind every synthesis strategy of the MCH
-strategy library (Algorithm 2).  Each builder takes a target network, the
+strategy library (Algorithm 2), graph mapping, refactoring and the
+netlist-to-network conversions.  Each builder takes a target network, the
 function to realize, and the literals that drive the function's inputs, and
 returns the output literal of a freshly constructed (strashed, hence
 maximally shared) subnetwork.
+
+Every method is split into a *plan* and a *replay*:
+
+* the plan is a pure function of the truth table — the DSD tree of
+  :func:`~repro.truth.dsd.decompose`, the literal-factored form of an ISOP
+  cover, or the Shannon split tree;
+* the replay walks the plan through the target's ``create_*`` calls, in the
+  order a direct derivation would make them.  The level-aware merges read
+  ``ntk.level`` of the actual operands during the replay, so a replayed plan
+  builds exactly what deriving it afresh would.
+
+Plans of functions of at most :data:`PLAN_MEMO_VARS` variables are memoized
+process-wide in one bounded LRU cache (:func:`plan_memo_stats`): MCH
+candidate generation resynthesizes the same few hundred cut functions
+thousands of times, with every method in every representation, so each
+decomposition is derived once — the idea of the precomputed 4-input
+structures of DAG-aware AIG rewriting (Mishchenko et al., DAC'06).  Wider
+functions rarely repeat, so their plans are derived on every call.
 
 Available methods:
 
@@ -21,6 +40,7 @@ Available methods:
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from typing import List, Sequence
 
 from ..networks.base import LogicNetwork, lit_not
@@ -33,8 +53,13 @@ __all__ = [
     "build_from_cubes",
     "build_shannon",
     "synthesize_tt",
+    "plan_memo_stats",
+    "PLAN_MEMO_VARS",
     "SYNTHESIS_METHODS",
 ]
+
+#: Functions of at most this many variables have their plans memoized.
+PLAN_MEMO_VARS = 4
 
 
 def _combine_level_aware(ntk: LogicNetwork, op, lits: Sequence[int], unit: int) -> int:
@@ -87,75 +112,160 @@ def build_from_dsd(ntk: LogicNetwork, root: DsdNode, complemented: bool,
     return rec(root) ^ int(complemented)
 
 
-def build_from_cubes(ntk: LogicNetwork, cubes: List[Cube], leaf_lits: Sequence[int],
-                     balanced: bool = False) -> int:
-    """Literal-factored realization of a cube cover."""
+# ---------------------------------------------------------------------- #
+# factored ISOP covers                                                    #
+# ---------------------------------------------------------------------- #
+# A factored plan is a nested tuple; literals are ``(var, complemented)``
+# pairs with the complement as 0/1:
+#   ("zero",)                       the empty cover
+#   ("and", lits)                   one cube: the AND of its literals
+#   ("or", (lits, ...))             OR of cubes, no literal in two of them
+#   ("div", var, neg, quot, rem)    (x_var ^ neg) & quot | rem  (rem may be None)
 
-    def cube_and(cube: Cube) -> int:
-        lits = [leaf_lits[v] ^ int(neg) for v, neg in cube_literals(cube)]
+def _factor(cubes: List[Cube]) -> tuple:
+    """Literal factoring of a cube cover: weak division on the most
+    frequent literal, recursively."""
+    if not cubes:
+        return ("zero",)
+    if len(cubes) == 1:
+        return ("and", _cube_lits(cubes[0]))
+    # most frequent literal across cubes (first in cube order on ties)
+    counts = {}
+    for pos, neg in cubes:
+        m = pos
+        v = 0
+        while m:
+            if m & 1:
+                counts[(v, False)] = counts.get((v, False), 0) + 1
+            m >>= 1
+            v += 1
+        m = neg
+        v = 0
+        while m:
+            if m & 1:
+                counts[(v, True)] = counts.get((v, True), 0) + 1
+            m >>= 1
+            v += 1
+    (var, negated), best = max(counts.items(), key=lambda kv: kv[1])
+    if best < 2:
+        return ("or", tuple(_cube_lits(c) for c in cubes))
+    bit = 1 << var
+    if negated:
+        quot = [(p, q & ~bit) for p, q in cubes if q & bit]
+        rem = [(p, q) for p, q in cubes if not (q & bit)]
+    else:
+        quot = [(p & ~bit, q) for p, q in cubes if p & bit]
+        rem = [(p, q) for p, q in cubes if not (p & bit)]
+    return ("div", var, int(negated), _factor(quot), _factor(rem) if rem else None)
+
+
+def _cube_lits(cube: Cube) -> tuple:
+    return tuple((v, int(neg)) for v, neg in cube_literals(cube))
+
+
+def _replay_factored(ntk: LogicNetwork, plan: tuple, leaf_lits: Sequence[int],
+                     balanced: bool) -> int:
+    def cube_and(cube: tuple) -> int:
+        lits = [leaf_lits[v] ^ neg for v, neg in cube]
         if not lits:
             return ntk.const1
         if balanced:
             return _combine_level_aware(ntk, ntk.create_and, lits, ntk.const1)
         return ntk.create_nary_and(lits, balanced=True)
 
-    def fac(cs: List[Cube]) -> int:
-        if not cs:
-            return ntk.const0
-        if len(cs) == 1:
-            return cube_and(cs[0])
-        # most frequent literal across cubes
-        counts = {}
-        for pos, neg in cs:
-            m = pos
-            v = 0
-            while m:
-                if m & 1:
-                    counts[(v, False)] = counts.get((v, False), 0) + 1
-                m >>= 1
-                v += 1
-            m = neg
-            v = 0
-            while m:
-                if m & 1:
-                    counts[(v, True)] = counts.get((v, True), 0) + 1
-                m >>= 1
-                v += 1
-        (var, negated), best = max(counts.items(), key=lambda kv: kv[1])
-        if best < 2:
-            terms = [cube_and(c) for c in cs]
+    def rec(node: tuple) -> int:
+        kind = node[0]
+        if kind == "div":
+            _, var, neg, quot, rem = node
+            factored = ntk.create_and(leaf_lits[var] ^ neg, rec(quot))
+            if rem is None:
+                return factored
+            return ntk.create_or(factored, rec(rem))
+        if kind == "and":
+            return cube_and(node[1])
+        if kind == "or":
+            terms = [cube_and(c) for c in node[1]]
             if balanced:
                 return _combine_level_aware(ntk, ntk.create_or, terms, ntk.const0)
             return ntk.create_nary_or(terms, balanced=True)
-        bit = 1 << var
-        if negated:
-            quot = [(p, q & ~bit) for p, q in cs if q & bit]
-            rem = [(p, q) for p, q in cs if not (q & bit)]
-        else:
-            quot = [(p & ~bit, q) for p, q in cs if p & bit]
-            rem = [(p, q) for p, q in cs if not (p & bit)]
-        lit = leaf_lits[var] ^ int(negated)
-        factored = ntk.create_and(lit, fac(quot))
-        if not rem:
-            return factored
-        return ntk.create_or(factored, fac(rem))
+        return ntk.const0
 
-    return fac(cubes)
+    return rec(plan)
+
+
+def build_from_cubes(ntk: LogicNetwork, cubes: List[Cube], leaf_lits: Sequence[int],
+                     balanced: bool = False) -> int:
+    """Literal-factored realization of a cube cover."""
+    return _replay_factored(ntk, _factor(cubes), leaf_lits, balanced)
+
+
+# ---------------------------------------------------------------------- #
+# Shannon trees                                                           #
+# ---------------------------------------------------------------------- #
+# A Shannon plan is a nested tuple:
+#   ("const", value)        a constant
+#   ("lit", var, neg)       x_var ^ neg
+#   ("mux", var, hi, lo)    x_var ? hi : lo
+
+def _shannon_plan(tt: TruthTable) -> tuple:
+    sup = tt.support()
+    if not sup:
+        return ("const", tt.is_const1())
+    if len(sup) == 1:
+        v = sup[0]
+        return ("lit", v, int(tt != TruthTable.var(tt.num_vars, v)))
+    # split on the most binate variable to keep both halves small
+    v = max(sup, key=lambda x: (tt.cofactor(x, False) ^ tt.cofactor(x, True)).count_ones())
+    return ("mux", v, _shannon_plan(tt.cofactor(v, True)),
+            _shannon_plan(tt.cofactor(v, False)))
+
+
+def _replay_shannon(ntk: LogicNetwork, plan: tuple, leaf_lits: Sequence[int]) -> int:
+    kind = plan[0]
+    if kind == "mux":
+        _, v, hi, lo = plan
+        hi_lit = _replay_shannon(ntk, hi, leaf_lits)
+        lo_lit = _replay_shannon(ntk, lo, leaf_lits)
+        return ntk.create_mux(leaf_lits[v], hi_lit, lo_lit)
+    if kind == "lit":
+        return leaf_lits[plan[1]] ^ plan[2]
+    return ntk.const1 if plan[1] else ntk.const0
 
 
 def build_shannon(ntk: LogicNetwork, tt: TruthTable, leaf_lits: Sequence[int]) -> int:
     """Shannon cofactoring tree over the function's support."""
-    sup = tt.support()
-    if not sup:
-        return ntk.const1 if tt.is_const1() else ntk.const0
-    if len(sup) == 1:
-        v = sup[0]
-        return leaf_lits[v] if tt == TruthTable.var(tt.num_vars, v) else lit_not(leaf_lits[v])
-    # split on the most binate variable to keep both halves small
-    v = max(sup, key=lambda x: (tt.cofactor(x, False) ^ tt.cofactor(x, True)).count_ones())
-    hi = build_shannon(ntk, tt.cofactor(v, True), leaf_lits)
-    lo = build_shannon(ntk, tt.cofactor(v, False), leaf_lits)
-    return ntk.create_mux(leaf_lits[v], hi, lo)
+    return _replay_shannon(ntk, _shannon_plan(tt), leaf_lits)
+
+
+# ---------------------------------------------------------------------- #
+# plans and the dispatcher                                                #
+# ---------------------------------------------------------------------- #
+
+#: analysis -> planner; ``dsd`` plans are ``(root, complemented)``
+_PLANNERS = {
+    "dsd": decompose,
+    "sop": lambda tt: _factor(isop(tt)),
+    "shannon": _shannon_plan,
+}
+
+
+@lru_cache(maxsize=1 << 12)
+def _cached_plan(analysis: str, num_vars: int, bits: int):
+    return _PLANNERS[analysis](TruthTable(num_vars, bits))
+
+
+def _plan(analysis: str, tt: TruthTable):
+    """The ``analysis`` plan of ``tt``; shared, so never mutate it."""
+    if tt.num_vars <= PLAN_MEMO_VARS:
+        return _cached_plan(analysis, tt.num_vars, tt.bits)
+    return _PLANNERS[analysis](tt)
+
+
+def plan_memo_stats() -> dict:
+    """Counters of the process-wide plan memo."""
+    info = _cached_plan.cache_info()
+    return {"hits": info.hits, "misses": info.misses,
+            "currsize": info.currsize, "maxsize": info.maxsize}
 
 
 def synthesize_tt(ntk: LogicNetwork, tt: TruthTable, leaf_lits: Sequence[int],
@@ -166,18 +276,25 @@ def synthesize_tt(ntk: LogicNetwork, tt: TruthTable, leaf_lits: Sequence[int],
     ``sop`` (factored ISOP), ``sop_balanced`` (level-aware factored ISOP),
     ``shannon`` (cofactor tree), ``nsop`` (factored ISOP of the complement,
     complemented back — catches functions whose off-set is simpler).
+
+    The method's plan (DSD tree, factored ISOP or Shannon tree) is replayed
+    into ``ntk``; ``dsd``/``dsd_chain`` share one plan, as do
+    ``sop``/``sop_balanced``, and ``nsop`` replays the factored plan of the
+    complement.  Plans of functions of at most :data:`PLAN_MEMO_VARS`
+    variables come from the process-wide memo.
     """
     if len(leaf_lits) != tt.num_vars:
         raise ValueError("leaf literal count must match variable count")
     if method in ("dsd", "dsd_chain"):
-        root, compl = decompose(tt)
+        root, compl = _plan("dsd", tt)
         return build_from_dsd(ntk, root, compl, leaf_lits, balanced=(method == "dsd"))
     if method in ("sop", "sop_balanced"):
-        return build_from_cubes(ntk, isop(tt), leaf_lits, balanced=(method == "sop_balanced"))
+        return _replay_factored(ntk, _plan("sop", tt), leaf_lits,
+                                balanced=(method == "sop_balanced"))
     if method == "nsop":
-        return lit_not(build_from_cubes(ntk, isop(~tt), leaf_lits, balanced=False))
+        return lit_not(_replay_factored(ntk, _plan("sop", ~tt), leaf_lits, balanced=False))
     if method == "shannon":
-        return build_shannon(ntk, tt, leaf_lits)
+        return _replay_shannon(ntk, _plan("shannon", tt), leaf_lits)
     raise ValueError(f"unknown synthesis method {method!r}")
 
 

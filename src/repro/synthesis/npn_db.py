@@ -7,9 +7,11 @@ and caching the result.  NPN invariance holds because all representations use
 free complemented edges, so input/output negations and permutations do not
 change structure cost.
 
-This powers the cut-cost model of graph mapping and the method selection of
-the MCH strategy library — the Python analogue of the precomputed 4-input NPN
-structure libraries used by rewriting engines (Huang et al., FPT'13).
+This powers the cut-cost model and the per-cut method selection of graph
+mapping (``gm``) — the Python analogue of the precomputed 4-input NPN
+structure libraries used by rewriting engines (Huang et al., FPT'13).  The
+MCH strategy library does not consult it: Algorithm 2 builds a candidate
+with every method of the strategy.
 """
 
 from __future__ import annotations

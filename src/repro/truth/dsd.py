@@ -22,7 +22,7 @@ from .truth_table import TruthTable
 __all__ = ["DsdNode", "decompose", "dsd_num_gates", "dsd_depth"]
 
 
-@dataclass
+@dataclass(slots=True)
 class DsdNode:
     """A node of the DSD tree.
 
@@ -31,6 +31,9 @@ class DsdNode:
     ``var_index`` identifies the input; for ``const``, ``value`` is the
     constant.  For ``mux`` the children are ``(sel, hi, lo)`` meaning
     ``sel ? hi : lo``.
+
+    Trees are read-only once :func:`decompose` returns them: synthesis
+    memoizes the trees of small functions and shares them between calls.
     """
 
     kind: str

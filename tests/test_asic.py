@@ -189,19 +189,6 @@ def netlist_digest(nl) -> str:
     return hashlib.sha256(repr((rows, nl.pos)).encode()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def converged():
-    """``converge4( b; gm; b )`` of a small-scale circuit, run once per
-    circuit for the whole module (``mch`` does not mutate its input)."""
-    done = {}
-
-    def get(name):
-        if name not in done:
-            done[name] = run_flow(build(name, "small"), "converge4( b; gm; b )").network
-        return done[name]
-    return get
-
-
 class TestReferenceDigests:
     """Netlists pinned to the digests of the recursive AsicMapper that the
     iterative cover replaced: any change in candidate order, tie-breaking or

@@ -146,6 +146,14 @@ class TestRunCommand:
         models = [m for m in stats["library_models"] if m["library"] == "asap7-like"]
         assert models and models[0]["rows_memo"] > 0
 
+    def test_map_luts_mch_engine_stats(self, capsys):
+        assert main(["map-luts", "ctrl", "--scale", "tiny", "--mch",
+                     "--engine-stats"]) == 0
+        out = capsys.readouterr().out
+        stats = json.loads(out[out.index("engine stats:") + len("engine stats:"):])
+        plans = stats["synthesis_plans"]
+        assert plans["hits"] > 0 and 0 < plans["currsize"] <= plans["maxsize"]
+
     def test_passes_links_docs(self, capsys):
         assert main(["passes"]) == 0
         assert "docs/flow-dsl.md" in capsys.readouterr().out

@@ -1,12 +1,15 @@
 """Tests for the MCH core: choice networks, critical paths, Algorithms 1-3,
 and the DCH baseline."""
 
+import hashlib
+
 import pytest
 
 from repro.circuits import build
 from repro.core import ChoiceNetwork, MchParams, build_dch, build_mch, critical_nodes
 from repro.core.critical import node_heights
 from repro.cuts import enumerate_cuts
+from repro.flow import run_flow
 from repro.networks import Aig, Mig, MixedNetwork, Xag, Xmg
 from repro.opt import optimize_rounds
 from repro.sat import cec
@@ -151,6 +154,56 @@ class TestBuildMch:
         small = build_mch(ntk, MchParams(max_cuts_per_node=1))
         big = build_mch(ntk, MchParams(max_cuts_per_node=4))
         assert small.ntk.num_nodes() <= big.ntk.num_nodes()
+
+
+
+def choice_digest(ch: ChoiceNetwork) -> str:
+    """sha256 of the mixed network's structural hash plus every choice
+    class (representative, sorted (choice node, phase) members)."""
+    classes = sorted((rep, sorted(members)) for rep, members in ch.choices_of.items())
+    return hashlib.sha256(repr((ch.ntk.structural_hash(), classes)).encode()).hexdigest()
+
+
+class TestChoiceNetworkDigests:
+    """The choice networks the paper's flows map, pinned: Table I's two
+    ``mch`` configs on the five control circuits and Table II's
+    ``mch -p xmg`` on four arithmetic circuits, each on the
+    ``converge4( b; gm; b )`` of the small-scale circuit.  Any change in
+    candidate synthesis, candidate order or choice registration shows up
+    here."""
+
+    @pytest.mark.parametrize("name,script,digest", [
+        ("cavlc", "mch -p xmg,xag -r 0.6",
+         "dbbd9c21d6d8df29a10f32c3a27b49eab698fd53cfc8114bf8729940ea613f43"),
+        ("cavlc", "mch -p xmg -r 1.5",
+         "c1b992b520cc09a0f3d323871038ba12302d360eea6e3b6214573b46192a2383"),
+        ("i2c", "mch -p xmg,xag -r 0.6",
+         "76aed6502b54a0c9c26dd10e72a2cbe7fec1886a88bc74567d23ede4238863d0"),
+        ("i2c", "mch -p xmg -r 1.5",
+         "9b5d3762086e6287b83d7101c085034cedcb53c2c2e2974e0c5defbea3096c6e"),
+        ("priority", "mch -p xmg,xag -r 0.6",
+         "65885ecd175002fca32dee84f1446ab9a987b8e1710ed7cb49489884157f4db8"),
+        ("priority", "mch -p xmg -r 1.5",
+         "bd8142a8e250e0c2def92a78a655d4b7d88e71cc66906ea883be1598d13b5b63"),
+        ("router", "mch -p xmg,xag -r 0.6",
+         "509487f9e8c3ebb03add10a6e36f7f93b52e59be6ed8dc2e4db7a8c0f313da8d"),
+        ("router", "mch -p xmg -r 1.5",
+         "b112a174383a04d846c6587dfe09c2127c8c46b5ffdd61ce1bab67667208792d"),
+        ("int2float", "mch -p xmg,xag -r 0.6",
+         "42d3cc371b327b97340c6b85e3ee86cd018261db671dd979d31a11868b27a3ce"),
+        ("int2float", "mch -p xmg -r 1.5",
+         "4b7a9c55e490dc7e7f7fc06d1ae0fdab7e080096d749fdd54026131b7315a363"),
+        ("hyp", "mch -p xmg",
+         "0870a32349b87675e15ea3a11fb3db04820c5cf36ccc1da3d88e33929edfeb58"),
+        ("sin", "mch -p xmg",
+         "49bc138aa0e964a7c0cb995e07dafdecabfe170dd70795d0e3d93cd6b9cd18c1"),
+        ("square", "mch -p xmg",
+         "a1c67d9a1dcec2e5c88a3b440873604ec428b4f8a4c9baa9adf3c584d8bb84d6"),
+        ("voter", "mch -p xmg",
+         "44a3f024a8370a623ac986e55c7b5de8f7d662deb861a47158d83a826a010e23"),
+    ])
+    def test_choice_network(self, converged, name, script, digest):
+        assert choice_digest(run_flow(converged(name), script).network) == digest
 
 
 class TestCutMergingAlgorithm3:

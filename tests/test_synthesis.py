@@ -1,5 +1,7 @@
 """Tests for structure builders, NPN cost cache and the strategy library."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from repro.synthesis import (
     synthesize_candidates,
     synthesize_tt,
 )
+from repro.synthesis import factoring
 from repro.truth.truth_table import TruthTable
 
 
@@ -62,6 +65,70 @@ class TestSynthesizeTt:
         b = ntk.create_pi()
         with pytest.raises(ValueError):
             synthesize_tt(ntk, TruthTable.var(2, 0), [a, b], method="bogus")
+
+
+def memo_test_functions():
+    """Every function of at most 3 variables, plus seeded samples of 4- and
+    5-8-variable functions: ``(narrow, wide)`` lists of truth tables."""
+    rng = random.Random(23)
+    narrow = [TruthTable(n, bits) for n in range(4) for bits in range(1 << (1 << n))]
+    narrow += [TruthTable(4, rng.getrandbits(16)) for _ in range(40)]
+    wide = [TruthTable(n, rng.getrandbits(1 << n)) for n in (5, 6, 7, 8) for _ in range(3)]
+    return narrow, wide
+
+
+class TestPlanMemo:
+    """Replaying a memoized plan builds exactly what deriving it afresh
+    does, in every representation the synthesis entry point serves."""
+
+    TARGETS = {
+        "aig": lambda: (Aig(), None),
+        "xmg": lambda: (Xmg(), None),
+        "mixed-xmg": lambda: (MixedNetwork(), Xmg),
+    }
+
+    def build_all(self, tts):
+        """``(structural hash, output literal)`` of every function synthesized
+        with every method into a fresh network of every target."""
+        out = []
+        for tt in tts:
+            for make in self.TARGETS.values():
+                for method in SYNTHESIS_METHODS:
+                    host, rep = make()
+                    leaves = [host.create_pi() for _ in range(tt.num_vars)]
+                    ntk = host if rep is None else rep_view(host, rep)
+                    lit = synthesize_tt(ntk, tt, leaves, method=method)
+                    host.create_po(lit)
+                    out.append((host.structural_hash(), lit))
+        return out
+
+    def test_warm_cold_warm_identical(self):
+        narrow, wide = memo_test_functions()
+        tts = narrow + wide
+        self.build_all(tts)
+        warm = self.build_all(tts)
+        factoring._cached_plan.cache_clear()
+        cold = self.build_all(tts)
+        assert factoring.plan_memo_stats()["misses"] > 0
+        assert self.build_all(tts) == cold == warm
+
+    def test_replay_leaves_plans_unchanged(self):
+        narrow, _ = memo_test_functions()
+        keys = [(a, tt.num_vars, tt.bits) for tt in narrow for a in ("dsd", "sop", "shannon")]
+        plans = {key: repr(factoring._cached_plan(*key)) for key in keys}
+        self.build_all(narrow)
+        assert {key: repr(factoring._cached_plan(*key)) for key in plans} == plans
+
+    def test_wide_functions_not_memoized(self):
+        _, wide = memo_test_functions()
+        before = factoring.plan_memo_stats()
+        self.build_all(wide)
+        assert factoring.plan_memo_stats() == before
+        assert all(tt.num_vars > factoring.PLAN_MEMO_VARS for tt in wide)
+
+    def test_memo_bounded(self):
+        stats = factoring.plan_memo_stats()
+        assert stats["maxsize"] == 1 << 12 and stats["currsize"] <= stats["maxsize"]
 
 
 class TestRepView:
