@@ -36,13 +36,13 @@ __all__ = [
 # --------------------------------------------------------------------- #
 
 # cache: (positions, num_vars) -> minterm index map
-_EXPAND_CACHE: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
+_INDEX_MAPS: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
 
 
 def _expand_tt(tt: TruthTable, positions: Sequence[int], num_vars: int) -> int:
     """Re-express ``tt`` over a larger variable set (seed implementation)."""
     key = (tuple(positions), num_vars)
-    idx = _EXPAND_CACHE.get(key)
+    idx = _INDEX_MAPS.get(key)
     if idx is None:
         idx = []
         for m in range(1 << num_vars):
@@ -52,7 +52,7 @@ def _expand_tt(tt: TruthTable, positions: Sequence[int], num_vars: int) -> int:
                     src |= 1 << i
             idx.append(src)
         idx = tuple(idx)
-        _EXPAND_CACHE[key] = idx
+        _INDEX_MAPS[key] = idx
     bits = 0
     src_bits = tt.bits
     for m, s in enumerate(idx):

@@ -11,7 +11,7 @@ simulation):
   (target: >= 3x);
 * one ``resub`` pass and one ``sweep`` (functional classes + merge) with the
   session-based engines;
-* process-wide solver and simulation counters.
+* the process-wide solver counters those runs added.
 
 Results are written to ``benchmarks/results/BENCH_sat.json``.  The scale
 defaults to ``tiny`` (unlike the mapping benches): the frozen baseline is so
@@ -33,9 +33,8 @@ from conftest import RESULTS_DIR
 from _baseline_sat import baseline_cec
 from repro.circuits import ALL_BENCHMARKS, build
 from repro.opt import balance, resub, sweep
-from repro.sat import cec, reset_solver_stats, solver_stats
+from repro.sat import cec, solver_stats
 from repro.sat.cec import EXHAUSTIVE_PIS
-from repro.sim import reset_sim_stats, sim_stats
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "tiny")
 
@@ -56,8 +55,7 @@ def measure(scale: str = SCALE) -> dict:
     name, ntk = largest_sat_path_circuit(scale)
     opt = balance(ntk)
 
-    reset_solver_stats()
-    reset_sim_stats()
+    before = solver_stats()
 
     t0 = time.perf_counter()
     new_verdict = bool(cec(ntk, opt))
@@ -98,8 +96,7 @@ def measure(scale: str = SCALE) -> dict:
         "verify_passes_seconds": round(t_verify, 6),
         "resub_cec_ok": resub_ok,
         "sweep_cec_ok": sweep_ok,
-        "solver_stats": solver_stats(),
-        "sim_stats": sim_stats(),
+        "solver_stats": {k: v - before[k] for k, v in solver_stats().items()},
     }
 
 
@@ -108,7 +105,7 @@ def write_json(result: dict) -> None:
     path.write_text(json.dumps(result, indent=2) + "\n")
     print(f"\nwrote {path}")
     print(json.dumps({k: v for k, v in result.items()
-                      if k not in ("solver_stats", "sim_stats")}, indent=2))
+                      if k != "solver_stats"}, indent=2))
 
 
 def _measure_with_retry() -> dict:

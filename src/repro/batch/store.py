@@ -33,27 +33,27 @@ import subprocess
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["ResultStore", "RunInfo", "Comparison", "StoreWriteError",
            "git_revision", "run_key", "failure_signature", "read_jsonl"]
 
-_GIT_REV_CACHE: Dict[str, str] = {}
-
-
 def git_revision(cwd: Optional[str] = None) -> str:
     """The short git revision of ``cwd`` (or $PWD), or ``"unknown"``."""
-    key = cwd or os.getcwd()
-    if key not in _GIT_REV_CACHE:
-        try:
-            out = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"], cwd=cwd,
-                capture_output=True, text=True, timeout=10)
-            _GIT_REV_CACHE[key] = out.stdout.strip() if out.returncode == 0 else "unknown"
-        except Exception:
-            _GIT_REV_CACHE[key] = "unknown"
-    return _GIT_REV_CACHE[key]
+    return _git_revision(cwd or os.getcwd())
+
+
+@lru_cache(maxsize=None)
+def _git_revision(cwd: str) -> str:
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=cwd,
+            capture_output=True, text=True, timeout=10)
+    except Exception:
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 class StoreWriteError(OSError):

@@ -397,7 +397,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="print the per-pass timing table")
         p.add_argument("--engine-stats", action="store_true",
                        help="print shared-engine statistics (cut databases, "
-                            "SAT, simulation)")
+                            "memos, SAT)")
         if mch_opts:
             p.add_argument("--mch", action="store_true", help="use mixed structural choices")
             p.add_argument("--reps", default="xmg", help="candidate reps, e.g. xmg,xag")

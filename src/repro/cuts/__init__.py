@@ -2,13 +2,7 @@
 
 from .cut import Cut
 from .database import CutDatabase
-from .enumeration import (
-    clear_expand_cache,
-    enumerate_cuts,
-    expand_cache_stats,
-    expand_tt,
-    set_expand_cache_limit,
-)
+from .enumeration import enumerate_cuts, expand_cache_stats, expand_tt
 
 __all__ = [
     "Cut",
@@ -16,6 +10,4 @@ __all__ = [
     "enumerate_cuts",
     "expand_tt",
     "expand_cache_stats",
-    "set_expand_cache_limit",
-    "clear_expand_cache",
 ]

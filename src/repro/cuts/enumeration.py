@@ -13,14 +13,14 @@ masks, shared by all mapper passes.  :func:`enumerate_cuts` is the stable list-o
 that database.
 
 This module also owns the truth-table *expansion* machinery (re-expressing a
-cut function over a merged leaf set).  Expansion index maps are memoized in a
-bounded LRU cache; :func:`expand_cache_stats` exposes hit/miss/eviction
-counters so long-running services can monitor it.
+cut function over a merged leaf set).  Expansion masks are memoized in one
+bounded :func:`functools.lru_cache`; :func:`expand_cache_stats` reports its
+``cache_info()``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from ..truth.truth_table import TruthTable
@@ -30,30 +30,18 @@ __all__ = [
     "enumerate_cuts",
     "expand_tt",
     "expand_cache_stats",
-    "set_expand_cache_limit",
-    "clear_expand_cache",
 ]
 
-# LRU cache: (positions, num_vars) -> per-source-minterm destination masks.
-# Entry ``masks[s]`` is the OR of ``1 << m`` over all destination minterms
-# ``m`` that read source minterm ``s``, so applying an expansion is one mask
-# OR per *set* source bit instead of one Python iteration per destination
-# minterm.
-_EXPAND_CACHE: "OrderedDict[Tuple[Tuple[int, ...], int], Tuple[int, ...]]" = OrderedDict()
-_EXPAND_CACHE_LIMIT = 8192
-_EXPAND_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
+@lru_cache(maxsize=8192)
+def _expand_masks(positions: Tuple[int, ...], num_vars: int) -> Tuple[int, ...]:
+    """Per-source-minterm destination masks of one expansion.
 
-def _expand_masks(key: Tuple[Tuple[int, ...], int]) -> Tuple[int, ...]:
-    """Destination masks for one (positions, num_vars) expansion, LRU-cached."""
-    cache = _EXPAND_CACHE
-    masks = cache.get(key)
-    if masks is not None:
-        _EXPAND_STATS["hits"] += 1
-        cache.move_to_end(key)
-        return masks
-    _EXPAND_STATS["misses"] += 1
-    positions, num_vars = key
+    Entry ``masks[s]`` is the OR of ``1 << m`` over all destination minterms
+    ``m`` that read source minterm ``s``, so applying an expansion is one
+    mask OR per *set* source bit instead of one Python iteration per
+    destination minterm.
+    """
     out = [0] * (1 << len(positions))
     for m in range(1 << num_vars):
         src = 0
@@ -61,17 +49,12 @@ def _expand_masks(key: Tuple[Tuple[int, ...], int]) -> Tuple[int, ...]:
             if (m >> p) & 1:
                 src |= 1 << i
         out[src] |= 1 << m
-    masks = tuple(out)
-    cache[key] = masks
-    while len(cache) > _EXPAND_CACHE_LIMIT:
-        cache.popitem(last=False)
-        _EXPAND_STATS["evictions"] += 1
-    return masks
+    return tuple(out)
 
 
 def _expand_bits(src_bits: int, positions: Tuple[int, ...], num_vars: int) -> int:
     """Raw-int core of :func:`expand_tt`; ``positions`` must be a tuple."""
-    masks = _expand_masks((positions, num_vars))
+    masks = _expand_masks(positions, num_vars)
     bits = 0
     while src_bits:
         low = src_bits & -src_bits
@@ -90,31 +73,8 @@ def expand_tt(tt: TruthTable, positions: Sequence[int], num_vars: int) -> int:
 
 
 def expand_cache_stats() -> Dict[str, int]:
-    """Counters of the expansion-mask LRU cache (the cache-stats hook)."""
-    return {
-        "hits": _EXPAND_STATS["hits"],
-        "misses": _EXPAND_STATS["misses"],
-        "evictions": _EXPAND_STATS["evictions"],
-        "size": len(_EXPAND_CACHE),
-        "limit": _EXPAND_CACHE_LIMIT,
-    }
-
-
-def set_expand_cache_limit(limit: int) -> None:
-    """Re-bound the expansion cache; evicts LRU entries beyond ``limit``."""
-    global _EXPAND_CACHE_LIMIT
-    if limit < 1:
-        raise ValueError("cache limit must be positive")
-    _EXPAND_CACHE_LIMIT = limit
-    while len(_EXPAND_CACHE) > _EXPAND_CACHE_LIMIT:
-        _EXPAND_CACHE.popitem(last=False)
-        _EXPAND_STATS["evictions"] += 1
-
-
-def clear_expand_cache() -> None:
-    """Drop all cached expansion masks and reset the counters."""
-    _EXPAND_CACHE.clear()
-    _EXPAND_STATS.update(hits=0, misses=0, evictions=0)
+    """``cache_info()`` of the expansion-mask memo: hits/misses/maxsize/currsize."""
+    return _expand_masks.cache_info()._asdict()
 
 
 def _merge_leaves(a: Tuple[int, ...], b: Tuple[int, ...], k: int):

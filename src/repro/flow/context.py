@@ -277,9 +277,9 @@ class FlowContext:
 
     def stats(self) -> dict:
         """Aggregate engine statistics across everything this context ran."""
-        from ..mapping.engine import library_model_stats
+        from ..cuts.enumeration import expand_cache_stats
+        from ..mapping.engine import library_cost_model
         from ..sat import solver_stats
-        from ..sim import sim_stats
         from ..synthesis.factoring import plan_memo_stats
 
         out: dict = {
@@ -288,10 +288,11 @@ class FlowContext:
             "pools": {n: p.n_patterns for n, p in self._pools.items()},
             "equivalence_sessions": [s.stats() for s in self._eq_sessions.values()],
             "mapping_sessions": [s.stats() for s in self._mapping_subjects],
-            "library_models": library_model_stats(),
+            "library_models": ([library_cost_model(self._library).stats()]
+                               if self._library is not None else []),
+            "expand_cache": expand_cache_stats(),
             "synthesis_plans": plan_memo_stats(),
             "solver": solver_stats(),
-            "sim": sim_stats(),
         }
         return out
 

@@ -10,7 +10,7 @@ from .engine import (
     library_cost_model,
     run_cover,
 )
-from .lut_mapper import CutMapper, lut_map
+from .lut_mapper import lut_map
 from .graph_mapper import graph_map
 from .library import Cell, Library, parse_genlib, write_genlib
 from .asap7 import asap7_library
@@ -28,7 +28,6 @@ __all__ = [
     "LibraryCostModel",
     "library_cost_model",
     "run_cover",
-    "CutMapper",
     "lut_map",
     "graph_map",
     "Cell",

@@ -76,7 +76,7 @@ class AsicMapper:
             raise ValueError("objective must be 'delay' or 'area'")
         self.lib = library or asap7_library()
         self.objective = objective
-        self.costs = library_cost_model(self.lib, max_pins=4)
+        self.costs = library_cost_model(self.lib)
         self.cut_limit = cut_limit
         self.flow_iterations = flow_iterations
         self.exact_iterations = exact_iterations

@@ -23,14 +23,13 @@ This module is the common substrate of all three cut-based mappers:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.choice import ChoiceNetwork
 from ..cuts.cut import Cut
 from ..cuts.database import CutDatabase
-from ..cuts.enumeration import expand_cache_stats
 from ..networks.base import LogicNetwork, require_combinational
 from ..synthesis.npn_db import NpnCostCache
 from ..truth.truth_table import TruthTable
@@ -43,7 +42,6 @@ __all__ = [
     "NpnCostModel",
     "LibraryCostModel",
     "library_cost_model",
-    "library_model_stats",
     "run_cover",
 ]
 
@@ -176,16 +174,14 @@ class MappingSession:
         return db
 
     def stats(self) -> dict:
-        """Aggregate engine statistics (cut databases + expansion cache)."""
-        out = {
+        """This session's statistics (network size and cut databases)."""
+        return {
             "network_nodes": self.ntk.num_nodes(),
             "choices": self._num_choices,
             "databases": {
                 f"k={k},limit={l}": db.stats for (k, l), db in self._databases.items()
             },
-            "expand_cache": expand_cache_stats(),
         }
-        return out
 
     def __repr__(self) -> str:
         dbs = ",".join(f"({k},{l})" for k, l in self._databases)
@@ -267,15 +263,15 @@ class LibraryCostModel:
     match rows the phase-aware mapper selects from (:meth:`rows`): the
     min-base reduction and library lookup of both polarities run once per
     function rather than once per (cut, phase, pass) triple.  The memo is
-    bounded by the number of distinct ``max_pins``-input functions, not by
-    network size.
+    bounded by the number of distinct functions of at most ``max_pins``
+    (``min(4, library.max_pins)``) inputs, not by network size.
     """
 
-    def __init__(self, library, max_pins: int = 4):
+    def __init__(self, library):
         from .matcher import MatchTable  # local import: avoid cycle at module load
 
         self.library = library
-        self.max_pins = min(max_pins, library.max_pins)
+        self.max_pins = min(4, library.max_pins)
         self.table = MatchTable(library, max_pins=self.max_pins)
         self.inverter = library.inverter
         self._rows: Dict[Tuple[int, int], Tuple[tuple, tuple]] = {}
@@ -320,32 +316,16 @@ class LibraryCostModel:
         }
 
 
-# One cost model per (library object, pin bound): the match table expansion
-# is expensive and libraries are immutable in practice.  Keyed by object id
-# with a strong reference kept inside the model (so ids cannot be recycled
-# while cached) and bounded LRU-style so sweeps over many parsed libraries
-# cannot leak match tables.
-_LIBRARY_MODELS: "OrderedDict[Tuple[int, int], LibraryCostModel]" = OrderedDict()
-_LIBRARY_MODELS_LIMIT = 8
+@lru_cache(maxsize=8)
+def library_cost_model(library) -> LibraryCostModel:
+    """Shared :class:`LibraryCostModel` of a library.
 
-
-def library_cost_model(library, max_pins: int = 4) -> LibraryCostModel:
-    """Shared :class:`LibraryCostModel` of a library (built once, LRU-bounded)."""
-    key = (id(library), max_pins)
-    model = _LIBRARY_MODELS.get(key)
-    if model is None:
-        model = LibraryCostModel(library, max_pins=max_pins)
-        _LIBRARY_MODELS[key] = model
-        while len(_LIBRARY_MODELS) > _LIBRARY_MODELS_LIMIT:
-            _LIBRARY_MODELS.popitem(last=False)
-    else:
-        _LIBRARY_MODELS.move_to_end(key)
-    return model
-
-
-def library_model_stats() -> List[dict]:
-    """:meth:`LibraryCostModel.stats` of every cached cost model."""
-    return [model.stats() for model in _LIBRARY_MODELS.values()]
+    The match-table expansion is expensive and libraries are immutable in
+    practice, so one model per library object is memoized (``Library``
+    hashes by identity).  The bound keeps sweeps over many parsed
+    libraries from leaking match tables.
+    """
+    return LibraryCostModel(library)
 
 
 # ---------------------------------------------------------------------- #

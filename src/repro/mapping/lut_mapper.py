@@ -35,39 +35,9 @@ from .engine import (
     run_cover,
 )
 
-__all__ = ["CutMapper", "MappingCover", "lut_map"]
+__all__ = ["MappingCover", "lut_map"]
 
 Subject = Union[LogicNetwork, ChoiceNetwork, MappingSession]
-
-
-class CutMapper:
-    """Priority-cuts mapper over a (choice) network.
-
-    Thin configuration front-end over :func:`repro.mapping.engine.run_cover`;
-    accepts a plain network, a choice network, or an existing
-    :class:`MappingSession` (to share one cut database across runs).
-    """
-
-    def __init__(self, subject: Subject, k: int = 6,
-                 cut_limit: int = 8, objective: str = "delay",
-                 flow_iterations: int = 1, exact_iterations: int = 2):
-        if objective not in ("delay", "area"):
-            raise ValueError("objective must be 'delay' or 'area'")
-        self.session = MappingSession.of(subject)
-        self.ntk = self.session.ntk
-        self.k = k
-        self.cut_limit = cut_limit
-        self.objective = objective
-        self.flow_iterations = flow_iterations
-        self.exact_iterations = exact_iterations
-        self.cost_model = UnitCostModel()
-
-    def run(self) -> MappingCover:
-        return run_cover(
-            self.session, self.cost_model, k=self.k, cut_limit=self.cut_limit,
-            objective=self.objective, flow_iterations=self.flow_iterations,
-            exact_iterations=self.exact_iterations,
-        )
 
 
 def lut_map(subject: Subject, k: int = 6,
@@ -79,11 +49,11 @@ def lut_map(subject: Subject, k: int = 6,
     required times; ``objective='area'`` minimizes LUT count directly.
     Passing a :class:`MappingSession` reuses its shared cut database.
     """
-    mapper = CutMapper(
-        subject, k=k, cut_limit=cut_limit, objective=objective,
-        flow_iterations=flow_iterations, exact_iterations=exact_iterations,
+    cover = run_cover(
+        MappingSession.of(subject), UnitCostModel(), k=k, cut_limit=cut_limit,
+        objective=objective, flow_iterations=flow_iterations,
+        exact_iterations=exact_iterations,
     )
-    cover = mapper.run()
 
     lut = LutNetwork(k)
     mapping: Dict[int, int] = {0: 0}

@@ -8,7 +8,7 @@ through :class:`EquivalenceSession` / :func:`cec`; code that needs a bare
 solver for custom CNF work (e.g. exact synthesis) uses :func:`new_solver`.
 """
 
-from .solver import SAT, UNSAT, Solver, reset_solver_stats, solver_stats
+from .solver import SAT, UNSAT, Solver, solver_stats
 from .cnf import CnfBuilder
 from .session import EquivalenceSession
 from .cec import CecResult, cec, find_counterexample
@@ -16,7 +16,7 @@ from .cec import CecResult, cec, find_counterexample
 __all__ = [
     "Solver", "SAT", "UNSAT", "CnfBuilder", "EquivalenceSession",
     "CecResult", "cec", "find_counterexample", "new_solver",
-    "solver_stats", "reset_solver_stats",
+    "solver_stats",
 ]
 
 

@@ -217,7 +217,7 @@ class EquivalenceSession:
             cex = [solver.model_value(self.pi_vars[i])
                    for i in range(len(self.pi_vars))]
             self._cex = cex
-            self.pool.add_counterexample(cex)
+            self.pool.add_pattern(cex)
         return False
 
     def prove_node_equal(self, node_a: int, node_b: int, compl: bool = False,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Optional, Sequence
 
-__all__ = ["Solver", "SAT", "UNSAT", "solver_stats", "reset_solver_stats"]
+__all__ = ["Solver", "SAT", "UNSAT", "solver_stats"]
 
 SAT = True
 UNSAT = False
@@ -49,11 +49,6 @@ _GLOBAL_STATS: Dict[str, int] = {k: 0 for k in _STAT_KEYS}
 def solver_stats() -> Dict[str, int]:
     """Aggregate counters across every :class:`Solver` run in this process."""
     return dict(_GLOBAL_STATS)
-
-
-def reset_solver_stats() -> None:
-    for k in _GLOBAL_STATS:
-        _GLOBAL_STATS[k] = 0
 
 
 def _luby(x: int) -> int:
@@ -555,7 +550,3 @@ class Solver:
     def model_value(self, var: int) -> bool:
         """Value of a variable in the last SAT model."""
         return self.model[var] > 0
-
-    def stats(self) -> Dict[str, int]:
-        """This instance's counters for the solve in progress (mostly for tests)."""
-        return dict(self._stats)

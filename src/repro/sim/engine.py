@@ -9,12 +9,13 @@ One service replaces the private signature/simulation code that ``cec``,
   is folded back in, so later simulation filtering gets sharper (the
   FRAIG-style sim/SAT refinement loop).
 * :class:`SimEngine` — per-network simulation state over a pool.  The
-  network is compiled once into a small *program*: gate operations batched
-  by level and gate type, complements applied only where a fanin is
+  network is compiled once into a small *program*: one entry per gate in
+  node (topological) order, complements applied only where a fanin is
   actually inverted, so the hot loop is plain tuple unpacking and integer
-  ops over arbitrarily wide words.  Refreshes are incremental: new patterns re-simulate only the
-  appended columns, new nodes (networks are append-only DAGs) re-simulate
-  only the dirty suffix.
+  ops over arbitrarily wide words.  The same node-order loop serves full
+  and incremental runs: new patterns re-simulate only the appended
+  columns, new nodes (networks are append-only DAGs) re-simulate only the
+  dirty suffix of the program.
 * :func:`simulate_words` — the one-shot front used by
   :meth:`repro.networks.base.LogicNetwork.simulate_patterns`; compiled
   programs are cached per network so repeated one-shot simulations stay
@@ -26,35 +27,16 @@ from __future__ import annotations
 import bisect
 import random
 import weakref
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..networks.base import GateType
 
-__all__ = ["PatternPool", "SimEngine", "simulate_words", "sim_stats",
-           "reset_sim_stats"]
+__all__ = ["PatternPool", "SimEngine", "simulate_words"]
 
 #: gate kinds as plain ints are ordered (CONST, PI, AND, XOR, MAJ, XOR3),
 #: so a program opcode is just ``kind - _GATE_MIN``
 _GATE_MIN = int(GateType.AND)
 _XOR = int(GateType.XOR)
-
-_STAT_KEYS = (
-    "programs_built", "program_nodes", "full_sims", "pattern_incr_sims",
-    "node_incr_sims", "oneshot_sims", "patterns_added",
-    "cex_recycled",
-)
-
-_GLOBAL_STATS: Dict[str, int] = {k: 0 for k in _STAT_KEYS}
-
-
-def sim_stats() -> Dict[str, int]:
-    """Aggregate simulation counters (surfaced by the CLI's ``--engine-stats``)."""
-    return dict(_GLOBAL_STATS)
-
-
-def reset_sim_stats() -> None:
-    for k in _GLOBAL_STATS:
-        _GLOBAL_STATS[k] = 0
 
 
 class PatternPool:
@@ -90,28 +72,19 @@ class PatternPool:
             if b:
                 words[i] |= bit
         self.n_patterns += 1
-        _GLOBAL_STATS["patterns_added"] += 1
-
-    def add_counterexample(self, assignment: Sequence[bool]) -> None:
-        """Fold a SAT counterexample into the pool (recycled as stimulus)."""
-        self.add_pattern(assignment)
-        _GLOBAL_STATS["cex_recycled"] += 1
 
 
 class _Program:
-    """A network compiled for simulation: per-level, per-gate-type op lists.
+    """A network compiled for simulation: one op per gate, in node order.
 
-    Entry formats (complement flags are 0/1, applied by a flag-guarded XOR
-    with the mask):  AND/XOR: ``(node, a, ac, b, bc)``;
-    MAJ/XOR3: ``(node, a, ac, b, bc, c, cc)``.
-    ``ops`` holds ``(opcode, entry)`` in node order for dirty-suffix
-    re-simulation.
+    ``ops`` holds ``(opcode, entry)`` pairs; entry formats (complement
+    flags are 0/1, applied by a flag-guarded XOR with the mask):
+    AND/XOR: ``(node, a, ac, b, bc)``; MAJ/XOR3: ``(node, a, ac, b, bc, c, cc)``.
     """
 
-    __slots__ = ("levels", "ops", "op_nodes", "built_nodes")
+    __slots__ = ("ops", "op_nodes", "built_nodes")
 
     def __init__(self):
-        self.levels: List[tuple] = []
         self.ops: List[tuple] = []
         #: node id per ``ops`` entry (ascending) — for dirty-suffix lookups
         self.op_nodes: List[int] = []
@@ -125,13 +98,11 @@ class _Program:
         re-simulation after appends stays O(delta).  Gate kinds are read as
         plain ints, so the opcode is ``kind - 2``.
         """
-        levels = self.levels
         ops = self.ops
         op_nodes = self.op_nodes
         start = self.built_nodes
         end = ntk.num_nodes()
         fanins = ntk._fanins
-        node_levels = ntk._levels
         for n, t in enumerate(map(int, ntk._types[start:end]), start):
             if t < _GATE_MIN:
                 continue  # PI / constant
@@ -143,61 +114,23 @@ class _Program:
             else:
                 c = fis[2]
                 entry = (n, a >> 1, a & 1, b >> 1, b & 1, c >> 1, c & 1)
-            op = t - _GATE_MIN
-            lv = node_levels[n]
-            while len(levels) <= lv:
-                levels.append(([], [], [], []))
-            levels[lv][op].append(entry)
-            ops.append((op, entry))
+            ops.append((t - _GATE_MIN, entry))
             op_nodes.append(n)
-        _GLOBAL_STATS["program_nodes"] += end - start
         self.built_nodes = end
 
-    def run(self, vals: List[int], mask: int) -> None:
-        """Evaluate all gates into ``vals`` (PIs/constants already set).
+    def run(self, vals: List[int], mask: int, start_index: int = 0) -> None:
+        """Evaluate the gates at ``ops`` positions >= ``start_index`` into
+        ``vals`` (PIs/constants already set).
 
-        Complements branch on the 0/1 flag instead of XOR-ing a zero mask:
-        at wide pool widths every full-width big-int op costs a word-sized
-        copy, so skipping the no-op XORs beats branchless arithmetic.
+        Node ids are topological (fanins first), so the whole program is a
+        full simulation and a suffix of it is exactly the dirty cone of the
+        appended nodes.  Complements branch on the 0/1 flag instead of
+        XOR-ing a zero mask: at wide pool widths every full-width big-int op
+        costs a word-sized copy, so skipping the no-op XORs beats branchless
+        arithmetic.
         """
-        for ands, xors, majs, xor3s in self.levels:
-            for n, a, ac, b, bc in ands:
-                x = vals[a]
-                if ac:
-                    x = x ^ mask
-                y = vals[b]
-                if bc:
-                    y = y ^ mask
-                vals[n] = x & y
-            for n, a, ac, b, bc in xors:
-                if ac ^ bc:
-                    vals[n] = vals[a] ^ vals[b] ^ mask
-                else:
-                    vals[n] = vals[a] ^ vals[b]
-            for n, a, ac, b, bc, c, cc in majs:
-                x = vals[a]
-                if ac:
-                    x = x ^ mask
-                y = vals[b]
-                if bc:
-                    y = y ^ mask
-                z = vals[c]
-                if cc:
-                    z = z ^ mask
-                vals[n] = (x & y) | (x & z) | (y & z)
-            for n, a, ac, b, bc, c, cc in xor3s:
-                if ac ^ bc ^ cc:
-                    vals[n] = vals[a] ^ vals[b] ^ vals[c] ^ mask
-                else:
-                    vals[n] = vals[a] ^ vals[b] ^ vals[c]
-
-    def run_suffix(self, vals: List[int], mask: int, start_index: int) -> None:
-        """Evaluate only the gates at ``ops`` positions >= ``start_index``.
-
-        Node ids are topological (fanins first), so a suffix of ``ops`` is
-        exactly the dirty cone of the appended nodes.
-        """
-        for op, entry in self.ops[start_index:]:
+        ops = self.ops[start_index:] if start_index else self.ops
+        for op, entry in ops:
             if op == 0:
                 n, a, ac, b, bc = entry
                 x = vals[a]
@@ -242,7 +175,6 @@ def _program_for(ntk) -> _Program:
     if prog is None or prog.built_nodes > ntk.num_nodes():
         prog = _Program()
         _PROGRAMS[ntk] = prog
-        _GLOBAL_STATS["programs_built"] += 1
     if prog.built_nodes < ntk.num_nodes():
         prog.extend(ntk)
     return prog
@@ -260,7 +192,6 @@ def simulate_words(ntk, pi_patterns: Sequence[int], mask: int) -> List[int]:
     if len(pi_patterns) != len(pis):
         raise ValueError("pattern count must equal PI count")
     prog = _program_for(ntk)
-    _GLOBAL_STATS["oneshot_sims"] += 1
     vals = [0] * ntk.num_nodes()
     for i, n in enumerate(pis):
         vals[n] = pi_patterns[i] & mask
@@ -274,7 +205,7 @@ class SimEngine:
     :meth:`signatures` returns the per-node value words over every pattern
     currently in the pool, recomputing only what changed since the last
     refresh: appended patterns are simulated as a narrow delta and OR-merged,
-    appended nodes are simulated via the program's ``ops`` suffix.  The returned
+    appended nodes are simulated via a suffix of the program.  The returned
     list is the engine's working buffer — treat it as read-only.  Later
     refreshes update that buffer in place, so a caller that needs a stable
     view across pool growth must copy the words it uses.
@@ -334,7 +265,6 @@ class SimEngine:
                 vals[n] = pool.words[i] & mask
             prog.run(vals, mask)
             self._vals = vals
-            _GLOBAL_STATS["full_sims"] += 1
         elif np_ > self._simmed_patterns:
             # pattern-incremental: simulate only the appended columns
             shift = self._simmed_patterns
@@ -346,7 +276,6 @@ class SimEngine:
             vals = self._vals
             for n in range(nn):
                 vals[n] |= delta[n] << shift
-            _GLOBAL_STATS["pattern_incr_sims"] += 1
         elif nn > self._simmed_nodes:
             # node-incremental: networks are append-only, so only the new
             # suffix (the dirty cone of freshly created nodes) is dirty
@@ -355,7 +284,6 @@ class SimEngine:
             for i, n in enumerate(pis):
                 vals[n] = pool.words[i] & mask
             dirty_from = bisect.bisect_left(prog.op_nodes, self._simmed_nodes)
-            prog.run_suffix(vals, mask, dirty_from)
-            _GLOBAL_STATS["node_incr_sims"] += 1
+            prog.run(vals, mask, dirty_from)
         self._simmed_nodes = nn
         self._simmed_patterns = np_

@@ -29,17 +29,13 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 from .truth_table import TruthTable
 
 __all__ = ["canonicalize", "apply_transform", "semi_canonicalize", "NPNTransform"]
 
 NPNTransform = Tuple[Tuple[int, ...], Tuple[bool, ...], bool]
-
-# _MAPS[n] is a list of (perm, phases, sigma) where sigma maps destination
-# minterm -> source minterm for the input part of the transform.
-_MAPS: dict = {}
 
 
 def _sigma(n: int, perm: Tuple[int, ...], phases: Tuple[bool, ...]) -> Tuple[int, ...]:
@@ -54,17 +50,16 @@ def _sigma(n: int, perm: Tuple[int, ...], phases: Tuple[bool, ...]) -> Tuple[int
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _maps_for(n: int):
-    try:
-        return _MAPS[n]
-    except KeyError:
-        maps = []
-        for perm in itertools.permutations(range(n)):
-            for ph in range(1 << n):
-                phases = tuple(bool((ph >> i) & 1) for i in range(n))
-                maps.append((perm, phases, _sigma(n, perm, phases)))
-        _MAPS[n] = maps
-        return maps
+    """Every input transform of ``n`` variables as ``(perm, phases, sigma)``,
+    where ``sigma`` maps destination minterm -> source minterm."""
+    maps = []
+    for perm in itertools.permutations(range(n)):
+        for ph in range(1 << n):
+            phases = tuple(bool((ph >> i) & 1) for i in range(n))
+            maps.append((perm, phases, _sigma(n, perm, phases)))
+    return maps
 
 
 def apply_transform(tt: TruthTable, transform: NPNTransform) -> TruthTable:

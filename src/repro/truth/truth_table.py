@@ -13,14 +13,10 @@ bitwise operations, which is the standard trick for truth-table packages
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, List, Sequence
 
 __all__ = ["TruthTable", "var_mask", "const_tt", "var_tt"]
-
-# Cache of elementary variable masks: _VAR_MASKS[n][v] is the truth table of
-# variable v over n variables, as a raw int.
-_VAR_MASKS: dict = {}
-
 
 def _full_mask(num_vars: int) -> int:
     return (1 << (1 << num_vars)) - 1
@@ -30,22 +26,24 @@ def var_mask(num_vars: int, var: int) -> int:
     """Raw bit mask of projection function ``x_var`` over ``num_vars`` vars."""
     if not 0 <= var < num_vars:
         raise ValueError(f"variable {var} out of range for {num_vars} vars")
-    try:
-        return _VAR_MASKS[num_vars][var]
-    except KeyError:
-        masks = []
-        rows = 1 << num_vars
-        for v in range(num_vars):
-            # repeat the (0^{2^v} 1^{2^v}) pattern across all 2^num_vars rows,
-            # doubling the filled width so the cost stays linear in the rows
-            val = ((1 << (1 << v)) - 1) << (1 << v)
-            width = 1 << (v + 1)
-            while width < rows:
-                val |= val << width
-                width <<= 1
-            masks.append(val)
-        _VAR_MASKS[num_vars] = masks
-        return masks[var]
+    return _var_masks(num_vars)[var]
+
+
+@lru_cache(maxsize=None)
+def _var_masks(num_vars: int) -> tuple:
+    """Raw truth tables of every variable over ``num_vars`` variables."""
+    masks = []
+    rows = 1 << num_vars
+    for v in range(num_vars):
+        # repeat the (0^{2^v} 1^{2^v}) pattern across all 2^num_vars rows,
+        # doubling the filled width so the cost stays linear in the rows
+        val = ((1 << (1 << v)) - 1) << (1 << v)
+        width = 1 << (v + 1)
+        while width < rows:
+            val |= val << width
+            width <<= 1
+        masks.append(val)
+    return tuple(masks)
 
 
 class TruthTable:

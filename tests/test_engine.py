@@ -96,11 +96,11 @@ class TestCostModels:
 
     def test_library_cost_model_shared(self):
         lib = asap7_library()
-        assert library_cost_model(lib, 4) is library_cost_model(lib, 4)
+        assert library_cost_model(lib) is library_cost_model(lib)
 
     def test_library_rows_memoized(self):
         lib = asap7_library()
-        model = library_cost_model(lib, 4)
+        model = library_cost_model(lib)
         ntk = build("ctrl", "tiny")
         db = CutDatabase(ntk, k=4, cut_limit=6)
         cut = db.cuts(max(ntk.gates()))[0]

@@ -202,7 +202,7 @@ class TestFlowContext:
         stats = ctx.stats()
         assert stats["passes"] == 3
         assert stats["mapping_sessions"], "mapping passes must register sessions"
-        assert "solver" in stats and "sim" in stats
+        assert "solver" in stats and "expand_cache" in stats
 
     def test_checkpoints(self):
         ctx = FlowContext()

@@ -5,7 +5,7 @@ import pytest
 from repro.circuits import build
 from repro.core import MchParams, build_mch
 from repro.cuts import enumerate_cuts
-from repro.mapping import CutMapper, asic_map, lut_map
+from repro.mapping import MappingSession, UnitCostModel, asic_map, lut_map, run_cover
 from repro.networks import Aig, Xmg
 from repro.sat import cec
 
@@ -33,7 +33,8 @@ class TestLutMapperOptions:
 
     def test_mapping_cover_consistency(self):
         ntk = build("int2float", "tiny")
-        cover = CutMapper(ntk, k=5, objective="area").run()
+        cover = run_cover(MappingSession.of(ntk), UnitCostModel(), k=5,
+                          objective="area")
         # every selected cut's leaves must be covered or be PIs
         for node, cut in cover.selection.items():
             for leaf in cut.leaves:
@@ -42,7 +43,7 @@ class TestLutMapperOptions:
 
     def test_invalid_objective(self):
         with pytest.raises(ValueError):
-            CutMapper(build("ctrl", "tiny"), objective="balanced")
+            lut_map(build("ctrl", "tiny"), objective="balanced")
 
 
 class TestAsicMapperOptions:

@@ -6,6 +6,7 @@ docstring fails the suite, so the reference documentation cannot silently
 rot as the API grows.
 """
 
+import importlib
 import inspect
 
 import pytest
@@ -36,10 +37,18 @@ def test_public_export_has_docstring(module, name):
         f"document it (the docs site links against these)")
 
 
+_PACKAGES = ("cuts", "sim", "sat", "mapping", "synthesis", "truth", "opt",
+             "core", "networks", "seq", "io", "circuits", "serve",
+             "experiments")
+
+
 def test_all_lists_are_exact():
-    """Everything in __all__ actually exists (no stale exports)."""
-    for module, name in _SUBJECTS:
-        assert hasattr(module, name), f"{module.__name__}.__all__ lists {name}"
+    """Everything in every package's __all__ exists (no stale exports)."""
+    modules = [repro, repro.flow, repro.batch] + [
+        importlib.import_module(f"repro.{name}") for name in _PACKAGES]
+    for module in modules:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.__all__ lists {name}"
 
 
 def test_public_dataclasses_document_methods():

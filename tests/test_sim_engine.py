@@ -37,13 +37,12 @@ def naive_simulate(ntk, pi_patterns, mask):
     return vals
 
 
-def random_mixed_network(seed, n_pis=6, n_gates=30):
-    rng = random.Random(seed)
-    ntk = MixedNetwork()
-    lits = [ntk.create_pi() for _ in range(n_pis)]
+def add_random_gates(ntk, lits, rng, n_gates):
+    """Append random AND/XOR/MAJ/XOR3 gates over ``lits`` (complemented at
+    random), extending ``lits`` with each new gate."""
+    pick = lambda: rng.choice(lits) ^ rng.randrange(2)
     for _ in range(n_gates):
         kind = rng.randrange(4)
-        pick = lambda: rng.choice(lits) ^ rng.randrange(2)
         if kind == 0:
             lits.append(ntk.create_and(pick(), pick()))
         elif kind == 1:
@@ -52,6 +51,13 @@ def random_mixed_network(seed, n_pis=6, n_gates=30):
             lits.append(ntk.create_maj(pick(), pick(), pick()))
         else:
             lits.append(ntk.create_xor3(pick(), pick(), pick()))
+
+
+def random_mixed_network(seed, n_pis=6, n_gates=30):
+    rng = random.Random(seed)
+    ntk = MixedNetwork()
+    lits = [ntk.create_pi() for _ in range(n_pis)]
+    add_random_gates(ntk, lits, rng, n_gates)
     ntk.create_po(lits[-1])
     ntk.create_po(lits[-2])
     return ntk
@@ -135,6 +141,21 @@ class TestSimEngine:
         assert engine.signatures() == naive_simulate(ntk, pool.words, pool.mask)
         assert engine.node_signature(g >> 1) == naive_simulate(
             ntk, pool.words, pool.mask)[g >> 1]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_node_incremental_refresh_every_gate_kind(self, seed):
+        # appended suffixes run the evaluator from a nonzero program index
+        rng = random.Random(seed)
+        ntk = random_mixed_network(seed, n_gates=12)
+        pool = PatternPool(ntk.num_pis(), n_patterns=96, seed=seed)
+        engine = SimEngine(ntk, pool)
+        engine.refresh()
+        lits = [n << 1 for n in range(1, ntk.num_nodes())]
+        for _ in range(3):
+            add_random_gates(ntk, lits, rng, rng.randrange(4, 12))
+            expected = naive_simulate(ntk, pool.words, pool.mask)
+            assert engine.signatures() == expected
+            assert simulate_words(ntk, pool.words, pool.mask) == expected
 
     def test_both_dimensions_grow(self):
         ntk = random_mixed_network(6, n_gates=8)
