@@ -239,7 +239,7 @@ class NpnCostModel(CostModel):
         got = self._memo.get(key)
         if got is None:
             method, gates, depth = self.cache.best_method(tt, self.synth_objective)
-            got = (method, gates, depth, bool(tt.support()))
+            got = (method, gates, depth, 0 < tt.bits < tt.mask)
             self._memo[key] = got
         return got
 

@@ -46,7 +46,7 @@ from typing import List, Sequence
 from ..networks.base import LogicNetwork, lit_not
 from ..truth.dsd import DsdNode, decompose
 from ..truth.isop import Cube, cube_literals, isop
-from ..truth.truth_table import TruthTable
+from ..truth.truth_table import TruthTable, _cofactors, _support, _var_masks
 
 __all__ = [
     "build_from_dsd",
@@ -208,16 +208,28 @@ def build_from_cubes(ntk: LogicNetwork, cubes: List[Cube], leaf_lits: Sequence[i
 #   ("mux", var, hi, lo)    x_var ? hi : lo
 
 def _shannon_plan(tt: TruthTable) -> tuple:
-    sup = tt.support()
-    if not sup:
-        return ("const", tt.is_const1())
+    return _shannon_rec(tt.bits, _var_masks(tt.num_vars), tt.mask)
+
+
+def _shannon_rec(bits: int, masks: tuple, full: int, among=None) -> tuple:
+    """Shannon plan of raw ``bits``; ``masks`` is ``_var_masks(n)`` and
+    ``among`` the variables the support can hold (``None``: all)."""
+    if not bits or bits == full:
+        return ("const", bits == full)
+    sup = _support(bits, masks, among)
     if len(sup) == 1:
         v = sup[0]
-        return ("lit", v, int(tt != TruthTable.var(tt.num_vars, v)))
-    # split on the most binate variable to keep both halves small
-    v = max(sup, key=lambda x: (tt.cofactor(x, False) ^ tt.cofactor(x, True)).count_ones())
-    return ("mux", v, _shannon_plan(tt.cofactor(v, True)),
-            _shannon_plan(tt.cofactor(v, False)))
+        return ("lit", v, int(bits != masks[v]))
+    # split on the most binate variable (the first one on ties) to keep both
+    # halves small
+    v = most = -1
+    for x in sup:
+        f0, f1 = _cofactors(bits, x, masks[x])
+        binate = (f0 ^ f1).bit_count()
+        if binate > most:
+            v, most, lo, hi = x, binate, f0, f1
+    rest = [x for x in sup if x != v]
+    return ("mux", v, _shannon_rec(hi, masks, full, rest), _shannon_rec(lo, masks, full, rest))
 
 
 def _replay_shannon(ntk: LogicNetwork, plan: tuple, leaf_lits: Sequence[int]) -> int:

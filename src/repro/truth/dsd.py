@@ -10,6 +10,10 @@ library and the backbone of cut resynthesis.
 The decomposition is *semantic* (works on the truth table), so XOR and MAJ
 structure hidden inside an AND-heavy AIG is recovered here, which is exactly
 what gives the heterogeneous candidates their edge on arithmetic circuits.
+
+:func:`decompose` is a thin :class:`TruthTable` front; the recursion runs on
+the raw ``bits`` through the integer primitives of
+:mod:`repro.truth.truth_table`, so it allocates no table per cofactor.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .truth_table import TruthTable
+from .truth_table import TruthTable, _cofactors, _support, _var_masks
 
 __all__ = ["DsdNode", "decompose", "dsd_num_gates", "dsd_depth"]
 
@@ -54,27 +58,16 @@ def _mk_var(v: int) -> DsdNode:
     return DsdNode("var", var_index=v)
 
 
-def _maj3_check(tt: TruthTable, sup: List[int]) -> Optional[DsdNode]:
-    """Detect MAJ of three literals over exactly three support variables."""
-    if len(sup) != 3:
-        return None
+def _maj3_check(bits: int, sup: List[int], masks: tuple, full: int) -> Optional[DsdNode]:
+    """Detect MAJ of three literals over the three support variables ``sup``."""
     a, b, c = sup
-    base = (
-        (TruthTable.var(tt.num_vars, a) & TruthTable.var(tt.num_vars, b))
-        | (TruthTable.var(tt.num_vars, a) & TruthTable.var(tt.num_vars, c))
-        | (TruthTable.var(tt.num_vars, b) & TruthTable.var(tt.num_vars, c))
-    )
     for pa in (False, True):
+        la = masks[a] ^ full if pa else masks[a]
         for pb in (False, True):
+            lb = masks[b] ^ full if pb else masks[b]
             for pc in (False, True):
-                t = base
-                if pa:
-                    t = t.flip(a)
-                if pb:
-                    t = t.flip(b)
-                if pc:
-                    t = t.flip(c)
-                if t == tt:
+                lc = masks[c] ^ full if pc else masks[c]
+                if (la & lb) | (la & lc) | (lb & lc) == bits:
                     return DsdNode(
                         "maj",
                         children=[(_mk_var(a), pa), (_mk_var(b), pb), (_mk_var(c), pc)],
@@ -88,58 +81,59 @@ def decompose(tt: TruthTable) -> Tuple[DsdNode, bool]:
     Returns ``(root, complemented)``; the function equals the tree output
     XOR ``complemented``.
     """
-    n = tt.num_vars
-    if tt.is_const0():
+    return _decompose(tt.bits, _var_masks(tt.num_vars), tt.mask)
+
+
+def _decompose(bits: int, masks: tuple, full: int, among=None) -> Tuple[DsdNode, bool]:
+    """:func:`decompose` on raw ``bits``; ``masks`` is ``_var_masks(n)`` and
+    ``among`` the variables the support can hold (``None``: all)."""
+    if not bits:
         return DsdNode("const", value=False), False
-    if tt.is_const1():
+    if bits == full:
         return DsdNode("const", value=False), True
 
-    sup = tt.support()
+    sup = _support(bits, masks, among)
     if len(sup) == 1:
         v = sup[0]
-        if tt == TruthTable.var(n, v):
-            return _mk_var(v), False
-        return _mk_var(v), True
+        return _mk_var(v), bits != masks[v]
 
-    # Top-level MAJ of literals (gives MIG/XMG-native nodes).
-    maj = _maj3_check(tt, sup)
-    if maj is not None:
-        return maj, False
-    inv = _maj3_check(~tt, sup)
-    if inv is not None:
-        return inv, True
+    # Top-level MAJ of literals (gives MIG/XMG-native nodes).  A MAJ of three
+    # literals holds on exactly half of the minterms, as does its complement.
+    if len(sup) == 3 and bits.bit_count() << 1 == full.bit_length():
+        maj = _maj3_check(bits, sup, masks, full)
+        if maj is not None:
+            return maj, False
+        inv = _maj3_check(bits ^ full, sup, masks, full)
+        if inv is not None:
+            return inv, True
 
     # Try simple top decompositions on each support variable.
-    for v in sup:
-        f0 = tt.cofactor(v, False)
-        f1 = tt.cofactor(v, True)
-        if f0.is_const0():  # f = v AND f1
-            sub, c = decompose(f1)
-            return DsdNode("and", children=[(_mk_var(v), False), (sub, c)]), False
-        if f1.is_const0():  # f = !v AND f0
-            sub, c = decompose(f0)
-            return DsdNode("and", children=[(_mk_var(v), True), (sub, c)]), False
-        if f0.is_const1():  # f = !v OR f1
-            sub, c = decompose(f1)
-            return DsdNode("or", children=[(_mk_var(v), True), (sub, c)]), False
-        if f1.is_const1():  # f = v OR f0
-            sub, c = decompose(f0)
-            return DsdNode("or", children=[(_mk_var(v), False), (sub, c)]), False
-        if f0 == ~f1:  # f = v XOR f0
-            sub, c = decompose(f0)
-            return DsdNode("xor", children=[(_mk_var(v), False), (sub, c)]), False
+    v = most = -1
+    for u in sup:
+        f0, f1 = _cofactors(bits, u, masks[u])
+        if not f0:  # f = u AND f1
+            kind, neg, sub = "and", False, f1
+        elif not f1:  # f = !u AND f0
+            kind, neg, sub = "and", True, f0
+        elif f0 == full:  # f = !u OR f1
+            kind, neg, sub = "or", True, f1
+        elif f1 == full:  # f = u OR f0
+            kind, neg, sub = "or", False, f0
+        elif f0 ^ f1 == full:  # f = u XOR f0
+            kind, neg, sub = "xor", False, f0
+        else:
+            # remember the most binate variable (the first one on ties)
+            binate = (f0 ^ f1).bit_count()
+            if binate > most:
+                v, most, lo_bits, hi_bits = u, binate, f0, f1
+            continue
+        node, c = _decompose(sub, masks, full, [x for x in sup if x != u])
+        return DsdNode(kind, children=[(_mk_var(u), neg), (node, c)]), False
 
     # Prime function: Shannon expansion on the most binate variable.
-    def binateness(v: int) -> int:
-        f0 = tt.cofactor(v, False)
-        f1 = tt.cofactor(v, True)
-        return -(f0 ^ f1).count_ones()
-
-    v = min(sup, key=binateness)
-    f0 = tt.cofactor(v, False)
-    f1 = tt.cofactor(v, True)
-    hi, chi = decompose(f1)
-    lo, clo = decompose(f0)
+    rest = [x for x in sup if x != v]
+    hi, chi = _decompose(hi_bits, masks, full, rest)
+    lo, clo = _decompose(lo_bits, masks, full, rest)
     node = DsdNode("mux", children=[(_mk_var(v), False), (hi, chi), (lo, clo)])
     return node, False
 

@@ -9,13 +9,17 @@ paper) and of refactoring.
 Cubes are ``(pos, neg)`` bit-mask pairs: variable ``v`` appears positively if
 bit ``v`` of ``pos`` is set, negatively if bit ``v`` of ``neg`` is set.  The
 empty cube ``(0, 0)`` is the tautology.
+
+:func:`isop` is a thin :class:`TruthTable` front; the recursion runs on the
+raw ``bits`` of the interval bounds through the integer primitives of
+:mod:`repro.truth.truth_table`, so it allocates no table per cofactor.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-from .truth_table import TruthTable
+from .truth_table import TruthTable, _cofactors, _depends, _var_masks
 
 __all__ = ["Cube", "isop", "cube_truth_table", "cover_truth_table", "cube_literals"]
 
@@ -56,35 +60,35 @@ def cube_literals(cube: Cube) -> List[Tuple[int, bool]]:
     return lits
 
 
-def _isop_rec(lower: TruthTable, upper: TruthTable, var: int) -> Tuple[List[Cube], TruthTable]:
-    """Recursive core: returns (cubes, exact truth table of the cover)."""
-    n = lower.num_vars
-    if lower.is_const0():
-        return [], TruthTable.const(n, False)
-    if upper.is_const1():
-        return [(0, 0)], TruthTable.const(n, True)
+def _isop_rec(lower: int, upper: int, var: int, masks: tuple,
+              full: int) -> Tuple[List[Cube], int]:
+    """Recursive core on raw bits: returns (cubes, exact bits of the cover)."""
+    if not lower:
+        return [], 0
+    if upper == full:
+        return [(0, 0)], full
 
     # Find the topmost variable either bound depends on.
     v = var
-    while v >= 0 and not (lower.has_var(v) or upper.has_var(v)):
+    while v >= 0 and not (_depends(lower, v, masks[v]) or _depends(upper, v, masks[v])):
         v -= 1
     if v < 0:  # no support left; lower != 0 and upper != 1 cannot happen here
         raise AssertionError("inconsistent ISOP interval")
 
-    l0, l1 = lower.cofactor(v, False), lower.cofactor(v, True)
-    u0, u1 = upper.cofactor(v, False), upper.cofactor(v, True)
+    vm = masks[v]
+    l0, l1 = _cofactors(lower, v, vm)
+    u0, u1 = _cofactors(upper, v, vm)
 
-    cubes0, cov0 = _isop_rec(l0 & ~u1, u0, v - 1)
-    cubes1, cov1 = _isop_rec(l1 & ~u0, u1, v - 1)
-    l_new = (l0 & ~cov0) | (l1 & ~cov1)
-    cubes_star, cov_star = _isop_rec(l_new, u0 & u1, v - 1)
+    cubes0, cov0 = _isop_rec(l0 & (u1 ^ full), u0, v - 1, masks, full)
+    cubes1, cov1 = _isop_rec(l1 & (u0 ^ full), u1, v - 1, masks, full)
+    l_new = (l0 & (cov0 ^ full)) | (l1 & (cov1 ^ full))
+    cubes_star, cov_star = _isop_rec(l_new, u0 & u1, v - 1, masks, full)
 
     bit = 1 << v
     cubes = [(p, q | bit) for (p, q) in cubes0]
     cubes += [(p | bit, q) for (p, q) in cubes1]
     cubes += cubes_star
-    vtt = TruthTable.var(n, v)
-    cover = (cov0 & ~vtt) | (cov1 & vtt) | cov_star
+    cover = (cov0 & (vm ^ full)) | (cov1 & vm) | cov_star
     return cubes, cover
 
 
@@ -92,13 +96,15 @@ def isop(tt: TruthTable, dont_cares: TruthTable = None) -> List[Cube]:
     """Irredundant SOP cover of ``tt`` (optionally exploiting don't-cares).
 
     The returned cover ``C`` satisfies ``tt <= C <= tt | dont_cares`` and is
-    irredundant (no cube or literal can be dropped).
+    irredundant (no cube or literal can be dropped).  ``dont_cares`` must
+    have the variable count of ``tt`` (``ValueError`` otherwise).
     """
-    lower = tt
-    upper = tt if dont_cares is None else (tt | dont_cares)
-    cubes, cover = _isop_rec(lower, upper, tt.num_vars - 1)
+    lower = tt.bits
+    upper = lower if dont_cares is None else (tt | dont_cares).bits
+    n = tt.num_vars
+    cubes, cover = _isop_rec(lower, upper, n - 1, _var_masks(n), tt.mask)
     # Sanity of the interval invariant (cheap; covers are small).
-    assert (lower.bits & ~cover.bits) == 0 and (cover.bits & ~upper.bits) == 0
+    assert (lower & ~cover) == 0 and (cover & ~upper) == 0
     return cubes
 
 

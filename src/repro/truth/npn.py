@@ -8,8 +8,15 @@ per function (Huang et al., FPT'13, used by the paper as the level-oriented
 "4-input NPN library" strategy).
 
 For up to 4 variables we do exhaustive canonization over all
-``4! * 2^4 * 2 = 768`` transforms, accelerated by precomputed minterm maps
-and an LRU cache.  For 5-6 variables :func:`semi_canonicalize` provides a
+``4! * 2^4 * 2 = 768`` transforms on the raw ``bits``, memoized by an LRU
+cache.  Each input permutation is applied once, through nibble-wide gather
+tables; the ``2^n`` input phases of that permutation are then visited in
+Gray-code order, so each one costs a single input flip
+(:func:`~repro.truth.truth_table._flip`), and the output phase is whichever
+of ``f`` and ``~f`` is larger.  Among the transforms that reach the maximum
+the first in ``(permutation, phase, output)`` order is returned, permutations
+in :func:`itertools.permutations` order and phases as integers (bit ``i`` =
+input ``i``).  For 5-6 variables :func:`semi_canonicalize` provides a
 deterministic (but not canonical) signature-based normal form, which is all
 the heuristic hash consumers need.
 
@@ -31,7 +38,7 @@ import itertools
 from functools import lru_cache
 from typing import Tuple
 
-from .truth_table import TruthTable
+from .truth_table import TruthTable, _flip, _var_masks
 
 __all__ = ["canonicalize", "apply_transform", "semi_canonicalize", "NPNTransform"]
 
@@ -51,15 +58,47 @@ def _sigma(n: int, perm: Tuple[int, ...], phases: Tuple[bool, ...]) -> Tuple[int
 
 
 @lru_cache(maxsize=None)
-def _maps_for(n: int):
-    """Every input transform of ``n`` variables as ``(perm, phases, sigma)``,
-    where ``sigma`` maps destination minterm -> source minterm."""
-    maps = []
+def _perm_gathers(n: int) -> tuple:
+    """Every input permutation of ``n`` variables, in
+    :func:`itertools.permutations` order, as ``(perm, tables)``: OR-ing
+    ``tables[k][(bits >> 4 * k) & 15]`` over ``k`` applies ``perm`` (all
+    phases positive) to ``bits``."""
+    rows = 1 << n
+    width = min(4, rows)
+    gathers = []
     for perm in itertools.permutations(range(n)):
-        for ph in range(1 << n):
-            phases = tuple(bool((ph >> i) & 1) for i in range(n))
-            maps.append((perm, phases, _sigma(n, perm, phases)))
-    return maps
+        dest = [0] * rows  # source minterm -> destination minterm
+        for x, y in enumerate(_sigma(n, perm, (False,) * n)):
+            dest[y] = x
+        tables = []
+        for base in range(0, rows, width):
+            table = []
+            for nib in range(1 << width):
+                val = 0
+                for j in range(width):
+                    if (nib >> j) & 1:
+                        val |= 1 << dest[base + j]
+                table.append(val)
+            tables.append(tuple(table))
+        gathers.append((perm, tuple(tables)))
+    return tuple(gathers)
+
+
+@lru_cache(maxsize=None)
+def _phase_walk(n: int) -> tuple:
+    """``(walk, phases)`` for ``n`` inputs.  ``walk`` lists the ``2^n`` input
+    phases in Gray-code order as ``(phase, var, vm)``: flipping input ``var``
+    (mask ``vm``) steps to the next phase; the step after the last phase is
+    never taken.  ``phases[phase]`` is the shared transform tuple of a
+    phase, so memoized transforms do not each hold a copy."""
+    masks = _var_masks(n) or (0,)
+    walk = []
+    for k in range(1 << n):
+        nxt = k + 1
+        var = (nxt & -nxt).bit_length() - 1 if nxt < (1 << n) else 0
+        walk.append((k ^ (k >> 1), var, masks[var]))
+    phases = tuple(tuple(bool((ph >> i) & 1) for i in range(n)) for ph in range(1 << n))
+    return tuple(walk), phases
 
 
 def apply_transform(tt: TruthTable, transform: NPNTransform) -> TruthTable:
@@ -81,20 +120,27 @@ def apply_transform(tt: TruthTable, transform: NPNTransform) -> TruthTable:
 
 @lru_cache(maxsize=1 << 16)
 def _canon_cached(n: int, bits: int):
-    best_bits = -1
-    best = None
     mask = (1 << (1 << n)) - 1
-    for perm, phases, sigma in _maps_for(n):
+    top = 1 << ((1 << n) - 1)  # the larger of f and ~f has the top minterm
+    walk, phases = _phase_walk(n)
+    gathers = _perm_gathers(n)
+    best_bits = best_index = best_phase = -1
+    best_out = False
+    for index, (_, tables) in enumerate(gathers):
         val = 0
-        for x in range(1 << n):
-            if (bits >> sigma[x]) & 1:
-                val |= 1 << x
-        if val > best_bits:
-            best_bits, best = val, (perm, phases, False)
-        inv = val ^ mask
-        if inv > best_bits:
-            best_bits, best = inv, (perm, phases, True)
-    return best_bits, best
+        rest = bits
+        for table in tables:
+            val |= table[rest & 15]
+            rest >>= 4
+        for phase, var, vm in walk:
+            cand = val if val & top else val ^ mask
+            # ties keep the earlier permutation, then the lower phase
+            if cand > best_bits or (cand == best_bits and index == best_index
+                                    and phase < best_phase):
+                best_bits, best_index, best_phase = cand, index, phase
+                best_out = cand != val
+            val = _flip(val, var, vm)
+    return best_bits, (gathers[best_index][0], phases[best_phase], best_out)
 
 
 def canonicalize(tt: TruthTable) -> Tuple[TruthTable, NPNTransform]:

@@ -9,6 +9,14 @@ canonization, Boolean matching, ISOP computation and network simulation all
 run on these objects.  Python integers give us unbounded width with C-speed
 bitwise operations, which is the standard trick for truth-table packages
 (ABC's ``utilTruth``, mockturtle's ``kitty``).
+
+Objects are the API; kernels run on ints.  The recursive planners (ISOP,
+DSD, Shannon trees, exact NPN) would allocate a ``TruthTable`` for every
+cofactor and complement, so they work on the raw ``bits`` of one width
+instead, through the private primitives below (:func:`_depends`,
+:func:`_support`, :func:`_cofactors`, :func:`_flip`) over the cached
+projection masks of :func:`_var_masks`.  The methods of :class:`TruthTable`
+call the same primitives, so each bit trick is written once.
 """
 
 from __future__ import annotations
@@ -44,6 +52,44 @@ def _var_masks(num_vars: int) -> tuple:
             width <<= 1
         masks.append(val)
     return tuple(masks)
+
+
+# -- raw-int kernels --------------------------------------------------------
+# ``bits`` is a truth table of some fixed width and ``vm`` the projection
+# mask ``_var_masks(num_vars)[var]`` of the same width.  Complements are
+# taken as ``x ^ full``, never ``~x``: a negative operand makes CPython's
+# big-int ``&`` markedly slower.
+
+def _depends(bits: int, var: int, vm: int) -> bool:
+    """True if ``bits`` depends on ``var``: its two cofactors differ."""
+    return bool((bits ^ (bits << (1 << var))) & vm)
+
+
+def _support(bits: int, masks: tuple, among=None) -> List[int]:
+    """Variables ``bits`` depends on, ascending; ``masks`` is ``_var_masks(n)``.
+
+    ``among`` (ascending) limits the test to those variables: a cofactor's
+    support lies inside its parent's, so the recursive planners pass that.
+    """
+    if among is None:
+        among = range(len(masks))
+    # the test of _depends, inlined: this runs once per planner recursion
+    return [v for v in among if (bits ^ (bits << (1 << v))) & masks[v]]
+
+
+def _cofactors(bits: int, var: int, vm: int) -> tuple:
+    """``(f|var=0, f|var=1)``, each spread over both halves of ``var``."""
+    shift = 1 << var
+    hi = bits & vm
+    lo = bits ^ hi
+    return lo | (lo << shift), hi | (hi >> shift)
+
+
+def _flip(bits: int, var: int, vm: int) -> int:
+    """``bits`` with input ``var`` complemented (its cofactors swapped)."""
+    shift = 1 << var
+    hi = bits & vm
+    return (hi >> shift) | ((bits ^ hi) << shift)
 
 
 class TruthTable:
@@ -111,7 +157,7 @@ class TruthTable:
         return bool((self.bits >> minterm) & 1)
 
     def count_ones(self) -> int:
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
     def is_const0(self) -> bool:
         return self.bits == 0
@@ -174,19 +220,14 @@ class TruthTable:
     def cofactor(self, var: int, value: bool) -> "TruthTable":
         """Cofactor w.r.t. ``var`` (result keeps the same variable count)."""
         vm = var_mask(self.num_vars, var)
-        shift = 1 << var
-        if value:
-            hi = self.bits & vm
-            return TruthTable(self.num_vars, hi | (hi >> shift))
-        lo = self.bits & ~vm
-        return TruthTable(self.num_vars, lo | (lo << shift))
+        return TruthTable(self.num_vars, _cofactors(self.bits, var, vm)[bool(value)])
 
     def has_var(self, var: int) -> bool:
         """True if the function depends on ``var``."""
-        return self.cofactor(var, False).bits != self.cofactor(var, True).bits
+        return _depends(self.bits, var, var_mask(self.num_vars, var))
 
     def support(self) -> List[int]:
-        return [v for v in range(self.num_vars) if self.has_var(v)]
+        return _support(self.bits, _var_masks(self.num_vars))
 
     def support_size(self) -> int:
         return len(self.support())
@@ -195,11 +236,7 @@ class TruthTable:
 
     def flip(self, var: int) -> "TruthTable":
         """Complement input ``var`` (swap its cofactors)."""
-        vm = var_mask(self.num_vars, var)
-        shift = 1 << var
-        hi = self.bits & vm
-        lo = self.bits & ~vm
-        return TruthTable(self.num_vars, (hi >> shift) | (lo << shift))
+        return TruthTable(self.num_vars, _flip(self.bits, var, var_mask(self.num_vars, var)))
 
     def swap_adjacent(self, var: int) -> "TruthTable":
         """Swap variables ``var`` and ``var + 1``."""

@@ -1,8 +1,13 @@
 """Tests for ISOP computation and DSD decomposition."""
 
+import hashlib
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.synthesis.factoring import _shannon_plan
 from repro.truth.dsd import decompose, dsd_depth, dsd_num_gates
 from repro.truth.isop import cover_truth_table, cube_literals, isop, num_literals
 from repro.truth.truth_table import TruthTable
@@ -82,6 +87,12 @@ class TestIsop:
         tt = TruthTable.from_function(2, lambda a, b: a and b)
         assert num_literals(isop(tt)) == 2
 
+    def test_dont_care_arity_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            isop(TruthTable.var(3, 0), TruthTable.const(2, False))
+        with pytest.raises(ValueError):
+            isop(TruthTable.var(2, 0), TruthTable.const(3, False))
+
 
 class TestDsd:
     def test_const(self):
@@ -124,3 +135,73 @@ class TestDsd:
         node, _ = decompose(tt)
         assert dsd_num_gates(node) >= 1
         assert dsd_depth(node) >= 1
+
+
+# ---------------------------------------------------------------------- #
+# plan identity                                                           #
+# ---------------------------------------------------------------------- #
+
+def _small_functions():
+    """Every function of at most 4 variables."""
+    for n in range(5):
+        for bits in range(1 << (1 << n)):
+            yield TruthTable(n, bits)
+
+
+def _wide_functions():
+    """200 seeded random functions per width 5..10."""
+    rng = random.Random(2025)
+    for n in range(5, 11):
+        for _ in range(200):
+            yield TruthTable(n, rng.getrandbits(1 << n))
+
+
+def _dont_care_pairs():
+    """Seeded (on-set, don't-care set) pairs of 1..8 variables."""
+    rng = random.Random(7)
+    for n in range(1, 9):
+        for _ in range(100):
+            on, dc = rng.getrandbits(1 << n), rng.getrandbits(1 << n)
+            yield TruthTable(n, on & ~dc), TruthTable(n, dc)
+
+
+def _digest(results) -> str:
+    h = hashlib.sha256()
+    for res in results:
+        h.update(repr(res).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+_PLANNERS = {"isop": isop, "decompose": decompose, "shannon": _shannon_plan}
+
+
+class TestPlanDigests:
+    """sha256 of the ``repr`` of every ISOP cover, DSD tree and Shannon
+    plan over fixed corpora, recorded from the object-based planners the
+    integer kernels replaced: any change of iteration order shows here."""
+
+    DIGESTS = {
+        ("isop", "small"):
+            "92c75c68e181c205261ea63b08a890bcefb94219014542c23339c226e38c9ccf",
+        ("isop", "wide"):
+            "58f63db64c4ff8f9cdca147ce729a763ec2f7c707c5914cdddf45c4f716b2530",
+        ("decompose", "small"):
+            "37e3ac26fda8d334606078ecd66b81969c3f3659b92ba6d84c34cc6b0cac0726",
+        ("decompose", "wide"):
+            "b179cf97ca3e8ff1062a3f851247d34ea6faf69c996a3812266363a4aa1a293a",
+        ("shannon", "small"):
+            "c31c035b4d804d95cb367d18800064dd71c9cbdf3b49cdad6e7dd636c8d3064e",
+        ("shannon", "wide"):
+            "0b455893171a84fadc81a9283b4903e4e4c709a45a317ea68b8589953e582356",
+    }
+
+    @pytest.mark.parametrize("planner, corpus", sorted(DIGESTS))
+    def test_plan_digest(self, planner, corpus):
+        fn = _PLANNERS[planner]
+        functions = _small_functions() if corpus == "small" else _wide_functions()
+        assert _digest(fn(tt) for tt in functions) == self.DIGESTS[planner, corpus]
+
+    def test_isop_dont_care_digest(self):
+        got = _digest(isop(on, dc) for on, dc in _dont_care_pairs())
+        assert got == "21ef4f7f6b8f463e8c49c9fffe5b67c6a1c7ed92d5c140d09aca3409a1e55048"

@@ -1,5 +1,8 @@
 """Tests for NPN canonization."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +82,22 @@ class TestCanonicalize:
         tt = TruthTable(4, bits)
         canon, t = canonicalize(tt)
         assert apply_transform(canon, inverse_transform(t)) == tt
+
+
+class TestCanonDigest:
+    """sha256 of ``canonicalize`` (canonical bits and transform), recorded
+    from the per-transform minterm-map loop the Gray-code walk replaced."""
+
+    def test_canonicalize_digest(self):
+        tables = [TruthTable(n, bits) for n in range(4) for bits in range(1 << (1 << n))]
+        rng = random.Random(4)
+        tables += [TruthTable(4, rng.getrandbits(16)) for _ in range(2048)]
+        h = hashlib.sha256()
+        for tt in tables:
+            canon, transform = canonicalize(tt)
+            h.update(repr((canon.bits, transform)).encode())
+            h.update(b"\n")
+        assert h.hexdigest() == "98d83680fb7f4f2dd88a7736b1235f21f1ffbb8dc481f979015f9c365439ec8c"
 
 
 class TestSemiCanonical:
