@@ -2,17 +2,20 @@
 
 Measures, on the largest bundled circuit at the selected scale:
 
-* cut-database construction (priority-cut enumeration with exact cut
-  functions, k=6, cut_limit=8) — reported as nodes/second;
+* cut-database construction plus every cut function (priority-cut
+  enumeration, k=6, cut_limit=8, then a read of ``tt_bits``, since the
+  database evaluates functions on demand) — reported as nodes/second;
 * the same enumeration through the re-frozen object-cut baseline of
   ``_baseline_flat.py`` (seed object-cut enumerator, eager truth tables) —
   the speedup between the two is the cut-database headline number
   (target: >= 3x), and the two cut sets must be **bit-identical**;
-* one full ``lut_map`` run (enumeration + all covering passes);
+* one full ``lut_map`` run (enumeration + all covering passes), and how
+  many of its database's functions that run evaluated;
 * a scale leg on a seeded windowed random AIG (20k gates; 2k at ``tiny``
   scale, since the traced build runs ~40x slower): enumeration seconds of
-  a plain build and the ``tracemalloc`` peak of a traced one.  Peak bytes
-  per cut should not grow with the network.
+  a plain build and the ``tracemalloc`` peak of a traced one, each with
+  every function read.  Peak bytes per cut should not grow with the
+  network.
 
 Results are written to ``benchmarks/results/BENCH_cuts.json`` so successive
 revisions can be compared.
@@ -34,7 +37,7 @@ from repro import Aig
 from repro.circuits import ALL_BENCHMARKS, build
 from repro.cuts import expand_cache_stats
 from repro.cuts.database import CutDatabase
-from repro.mapping import lut_map
+from repro.mapping import MappingSession, lut_map
 
 K = 6
 CUT_LIMIT = 8
@@ -57,11 +60,19 @@ def _cut_signature(cut_lists):
             for cl in cut_lists]
 
 
+def build_all_functions(ntk) -> CutDatabase:
+    """A cut database with every function evaluated, as the eager baseline
+    computes them."""
+    db = CutDatabase(ntk, k=K, cut_limit=CUT_LIMIT)
+    db.tt_bits
+    return db
+
+
 def measure(scale: str = SCALE) -> dict:
     name, ntk = largest_circuit(scale)
 
     t0 = time.perf_counter()
-    db = CutDatabase(ntk, k=K, cut_limit=CUT_LIMIT)
+    db = build_all_functions(ntk)
     t_enum = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -70,9 +81,11 @@ def measure(scale: str = SCALE) -> dict:
 
     identical = _cut_signature(db.cut_lists()) == _cut_signature(baseline_cuts)
 
+    session = MappingSession(ntk)
     t0 = time.perf_counter()
-    lut = lut_map(ntk, k=K, cut_limit=CUT_LIMIT, objective="area")
+    lut = lut_map(session, k=K, cut_limit=CUT_LIMIT, objective="area")
     t_map = time.perf_counter() - t0
+    map_stats = session.cut_database(K, CUT_LIMIT).stats
 
     n_nodes = ntk.num_nodes()
     return {
@@ -89,6 +102,8 @@ def measure(scale: str = SCALE) -> dict:
         "enum_speedup": round(t_base / t_enum, 3) if t_enum > 0 else 0.0,
         "cuts_bit_identical": identical,
         "lut_map_seconds": round(t_map, 6),
+        "lut_map_functions": map_stats["functions"],
+        "lut_map_cuts": map_stats["cuts"],
         "total_seconds": round(t_enum + t_map, 6),
         "luts": lut.num_luts(),
         "lut_depth": lut.depth(),
@@ -122,12 +137,12 @@ def measure_scale(n_gates: int = SCALE_GATES) -> dict:
     ntk = windowed_aig(n_gates)
 
     t0 = time.perf_counter()
-    db = CutDatabase(ntk, k=K, cut_limit=CUT_LIMIT)
+    db = build_all_functions(ntk)
     t_enum = time.perf_counter() - t0
 
     tracemalloc.start()
     try:
-        CutDatabase(ntk, k=K, cut_limit=CUT_LIMIT)
+        build_all_functions(ntk)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

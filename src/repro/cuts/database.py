@@ -1,16 +1,20 @@
 """Flat priority-cut database with local-mask merging.
 
 One :class:`CutDatabase` holds every cut of a network in parallel flat
-arrays — interned leaf tuples and truth tables as raw ints — computed once
+arrays — interned leaf tuples and truth tables as raw ints — built once
 and shared by all mapper passes and consumers (LUT mapper, ASIC Boolean
 matcher, graph mapper, MCH candidate generation).
 
 Compared to the original per-mapper enumeration this builder is lazy and
 mask-driven:
 
-* merged leaf sets are deduplicated and dominance-filtered **before** any
-  truth table is computed, so cut functions are evaluated only for the at
-  most ``cut_limit - 1`` cuts that survive per node;
+* merged leaf sets are deduplicated and dominance-filtered on masks alone,
+  and the build computes no cut function: it records each survivor's
+  derivation in one ``array('q')`` column (the positions of its fanin cuts
+  in their fanins' spans, or the id of the choice cut it absorbed), and a
+  function is evaluated the first time something reads it.
+  LUT covering ranks cuts by their leaves alone, so it evaluates only the
+  functions of the cuts it selects and of the cuts they derive from;
 * each node's merge runs on *local* leaf masks: the leaves of all its fanin
   cuts (at most ``fanins * cut_limit * k`` nodes) get dense bit positions
   in ascending node order, so union, k-bound, dedupe and the exact subset
@@ -26,7 +30,8 @@ this database (see :func:`repro.cuts.enumeration.enumerate_cuts`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..networks.base import GateType
 from ..truth.truth_table import TruthTable
@@ -36,6 +41,14 @@ from .enumeration import _expand_bits
 __all__ = ["CutDatabase"]
 
 _VAR1_BITS = 2  # TruthTable.var(1, 0).bits — the single-variable projection
+
+# A merged cut's derivation is one int: the position of each fanin cut
+# inside its fanin's span, _POS_BITS bits per fanin, fanin 0 lowest.  An
+# absorbed choice cut stores ~source (negative).  A span holds at most
+# 2 * cut_limit records, which bounds cut_limit.
+_POS_BITS = 21
+_POS_MASK = (1 << _POS_BITS) - 1
+_MAX_CUT_LIMIT = 1 << (_POS_BITS - 1)
 
 
 def _mask_leaves(mask: int, universe: List[int]) -> Tuple[int, ...]:
@@ -61,27 +74,34 @@ class CutDatabase:
     flat arrays; the trivial cut of a gate node is always the last record of
     its span.  :meth:`cuts` materializes (and memoizes) the node's records as
     :class:`Cut` objects for consumers that want the object view.
+
+    Cut functions are computed on demand: :meth:`function` evaluates one
+    cut (and whatever it derives from), :attr:`tt_bits` all of them.
+    ``stats["functions"]`` counts the functions evaluated so far.
     """
 
     __slots__ = (
         "ntk", "k", "cut_limit", "network_version",
-        "leaves", "tt_bits", "tt_vars", "root", "phase",
+        "leaves", "tt_vars", "root", "phase",
         "spans", "stats", "_materialized", "_intern",
+        "_bits", "_deriv", "_pending", "_kinds", "_fanins",
     )
 
     def __init__(self, ntk, k: int = 6, cut_limit: int = 8,
                  nodes: Optional[Sequence[int]] = None,
                  order: Optional[Sequence[int]] = None,
                  choices: Optional[Dict[int, List[Tuple[int, bool]]]] = None):
+        if cut_limit > _MAX_CUT_LIMIT:
+            raise ValueError(f"cut_limit must be at most {_MAX_CUT_LIMIT}")
         self.ntk = ntk
         self.k = k
         self.cut_limit = cut_limit
         self.network_version = getattr(ntk, "version", 0)
 
         n_total = ntk.num_nodes()
-        # flat per-cut arrays
+        # flat per-cut arrays; ``_bits[i]`` is None until cut i is evaluated
         self.leaves: List[Tuple[int, ...]] = []
-        self.tt_bits: List[int] = []
+        self._bits: List[Optional[int]] = []
         self.tt_vars: List[int] = []
         self.root: List[int] = []
         self.phase: List[bool] = []
@@ -89,13 +109,18 @@ class CutDatabase:
         self.spans: List[Tuple[int, int]] = [(0, 0)] * n_total
         self._materialized: List[Optional[List[Cut]]] = [None] * n_total
         self._intern: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        # one derivation per cut (see _POS_BITS); every cut it names has a
+        # lower index.  Constant and trivial cuts store 0: their functions
+        # are stored at build time.
+        self._deriv = array("q")
         # subset_checks counts pairwise dominance comparisons, each one exact
         # subset test on the merge's local leaf masks
         self.stats: Dict[str, int] = {
             "nodes": 0, "cuts": 0, "candidates": 0, "dominated": 0,
-            "subset_checks": 0,
+            "subset_checks": 0, "functions": 0,
         }
         self._build(nodes, order, choices)
+        self._pending = self._bits.count(None)
         self.stats["cuts"] = len(self.leaves)
         self.stats["distinct_leaf_sets"] = len(self._intern)
 
@@ -112,6 +137,10 @@ class CutDatabase:
         # network method
         kinds = list(map(int, ntk._types))
         fanins = ntk._fanins
+        # snapshots for evaluation: callers such as ``mch`` append nodes to
+        # the network between building the database and reading it
+        self._kinds = kinds
+        self._fanins = list(fanins)
 
         todo = None
         if nodes is not None:
@@ -128,10 +157,11 @@ class CutDatabase:
 
         # local aliases for the hot loop
         flat_leaves = self.leaves
-        flat_bits = self.tt_bits
+        flat_bits = self._bits
         flat_vars = self.tt_vars
         flat_root = self.root
         flat_phase = self.phase
+        deriv_append = self._deriv.append
         spans = self.spans
         intern = self._intern
         stats = self.stats
@@ -153,6 +183,7 @@ class CutDatabase:
                 flat_vars.append(0)
                 flat_root.append(node)
                 flat_phase.append(False)
+                deriv_append(0)
                 spans[node] = (start, len(flat_leaves))
                 continue
             if t == _PI:
@@ -161,7 +192,6 @@ class CutDatabase:
                 continue
 
             fis = fanins[node]
-            fanin_phases = [f & 1 for f in fis]
             fanin_ranges = [spans[f >> 1] for f in fis]
 
             # -- candidate merge on local leaf masks --
@@ -174,9 +204,8 @@ class CutDatabase:
             bit_of = {leaf: 1 << j for j, leaf in enumerate(universe)}.__getitem__
             local = [[sum(map(bit_of, cl)) for cl in cls] for cls in fanin_cuts]
             seen = set()
-            cand: List[Tuple[int, Tuple[int, ...]]] = []
+            cand: List[Tuple[int, int]] = []
             if len(fis) == 2:
-                (s0, _), (s1, _) = fanin_ranges
                 masks0, masks1 = local
                 for j0, m0 in enumerate(masks0):
                     for j1, m1 in enumerate(masks1):
@@ -184,28 +213,28 @@ class CutDatabase:
                         if merged.bit_count() > k or merged in seen:
                             continue
                         seen.add(merged)
-                        cand.append((merged, (s0 + j0, s1 + j1)))
+                        cand.append((merged, j0 | (j1 << _POS_BITS)))
             else:
-                (s0, _), (s1, _), (s2, _) = fanin_ranges
                 masks0, masks1, masks2 = local
                 for j0, m0 in enumerate(masks0):
                     for j1, m1 in enumerate(masks1):
                         m01 = m0 | m1
                         if m01.bit_count() > k:
                             continue
+                        code01 = j0 | (j1 << _POS_BITS)
                         for j2, m2 in enumerate(masks2):
                             merged = m01 | m2
                             if merged.bit_count() > k or merged in seen:
                                 continue
                             seen.add(merged)
-                            cand.append((merged, (s0 + j0, s1 + j1, s2 + j2)))
+                            cand.append((merged, code01 | (j2 << 2 * _POS_BITS)))
             stats["candidates"] += len(cand)
 
             # -- exact dominance on the masks, smallest cuts first --
             cand.sort(key=lambda c: c[0].bit_count())
-            kept: List[Tuple[int, Tuple[int, ...]]] = []
+            kept: List[Tuple[int, int]] = []
             subset_checks = 0
-            for mask, ids in cand:
+            for mask, code in cand:
                 if len(kept) >= limit:
                     break
                 not_mask = ~mask
@@ -218,29 +247,18 @@ class CutDatabase:
                 if dominated:
                     stats["dominated"] += 1
                     continue
-                kept.append((mask, ids))
+                kept.append((mask, code))
             stats["subset_checks"] += subset_checks
 
-            # -- truth tables, only for the survivors --
-            for lmask, ids in kept:
+            # -- the survivors, with their derivations --
+            for lmask, code in kept:
                 leaves = _mask_leaves(lmask, universe)
-                nv = len(leaves)
-                full = (1 << (1 << nv)) - 1
-                pos_of = {leaf: i for i, leaf in enumerate(leaves)}
-                vals = []
-                for i, ph in zip(ids, fanin_phases):
-                    cl = flat_leaves[i]
-                    positions = tuple(pos_of[x] for x in cl)
-                    bits = _expand_bits(flat_bits[i], positions, nv)
-                    if ph:
-                        bits ^= full
-                    vals.append(bits)
-                out = self._apply_gate(t, vals) & full
                 flat_leaves.append(intern.setdefault(leaves, leaves))
-                flat_bits.append(out)
-                flat_vars.append(nv)
+                flat_bits.append(None)
+                flat_vars.append(len(leaves))
                 flat_root.append(node)
                 flat_phase.append(False)
+                deriv_append(code)
 
             # -- Algorithm 3 (lines 2-8): absorb choice-node cuts into the
             # representative's cut set, normalized to the representative's
@@ -262,14 +280,12 @@ class CutDatabase:
                         merged_ids.append((i, ch_phase))
                 merged_ids.sort(key=lambda e: len(flat_leaves[e[0]]), reverse=True)
                 for i, ch_phase in merged_ids[: self.cut_limit]:
-                    bits = flat_bits[i]
-                    if ch_phase:
-                        bits ^= (1 << (1 << flat_vars[i])) - 1
                     flat_leaves.append(flat_leaves[i])
-                    flat_bits.append(bits)
+                    flat_bits.append(None)
                     flat_vars.append(flat_vars[i])
                     flat_root.append(flat_root[i])
                     flat_phase.append(ch_phase)
+                    deriv_append(~i)
 
             self._append_trivial(node)
             spans[node] = (start, len(flat_leaves))
@@ -277,10 +293,106 @@ class CutDatabase:
     def _append_trivial(self, node: int) -> None:
         leaves = self._intern.setdefault((node,), (node,))
         self.leaves.append(leaves)
-        self.tt_bits.append(_VAR1_BITS)
+        self._bits.append(_VAR1_BITS)
         self.tt_vars.append(1)
         self.root.append(node)
         self.phase.append(False)
+        self._deriv.append(0)
+
+    # ------------------------------------------------------------------ #
+    # cut functions, on demand                                            #
+    # ------------------------------------------------------------------ #
+
+    def _sources(self, i: int) -> List[int]:
+        """The ids of the cuts that cut ``i`` is derived from."""
+        code = self._deriv[i]
+        if code < 0:
+            return [~code]
+        spans = self.spans
+        out = []
+        for f in self._fanins[self.root[i]]:
+            out.append(spans[f >> 1][0] + (code & _POS_MASK))
+            code >>= _POS_BITS
+        return out
+
+    def _evaluate(self, ids: Iterable[int]) -> None:
+        """Compute the functions of the unevaluated cuts ``ids``, ascending.
+
+        Every derivation source of a cut must already be evaluated or come
+        earlier in ``ids``.
+        """
+        bits_of = self._bits
+        leaves_of = self.leaves
+        deriv = self._deriv
+        spans = self.spans
+        root = self.root
+        phase = self.phase
+        kinds = self._kinds
+        fanins = self._fanins
+        apply_gate = self._apply_gate
+        count = 0
+        for i in ids:
+            code = deriv[i]
+            leaves = leaves_of[i]
+            nv = len(leaves)
+            full = (1 << (1 << nv)) - 1
+            if code < 0:               # absorbed choice cut
+                out = bits_of[~code]
+                if phase[i]:
+                    out ^= full
+            else:
+                node = root[i]
+                pos_of = {leaf: p for p, leaf in enumerate(leaves)}
+                vals = []
+                for f in fanins[node]:     # _sources, inlined for the sweep
+                    c = spans[f >> 1][0] + (code & _POS_MASK)
+                    code >>= _POS_BITS
+                    bits = _expand_bits(bits_of[c],
+                                        tuple(pos_of[x] for x in leaves_of[c]), nv)
+                    if f & 1:
+                        bits ^= full
+                    vals.append(bits)
+                out = apply_gate(kinds[node], vals) & full
+            bits_of[i] = out
+            count += 1
+        self.stats["functions"] += count
+        self._pending -= count
+        if not self._pending:
+            # every function is known: the derivations are no longer needed
+            self._deriv = self._kinds = self._fanins = None
+
+    def function(self, i: int) -> int:
+        """The raw truth-table bits of cut ``i``, evaluated on first read.
+
+        The cuts it derives from are collected with an explicit stack and
+        evaluated in index order, so no read recurses, however deep the
+        network.
+        """
+        bits_of = self._bits
+        got = bits_of[i]
+        if got is None:
+            need = set()
+            stack = [i]
+            while stack:
+                c = stack.pop()
+                if c in need or bits_of[c] is not None:
+                    continue
+                need.add(c)
+                stack.extend(self._sources(c))
+            self._evaluate(sorted(need))
+            got = bits_of[i]
+        return got
+
+    def _evaluate_all(self) -> None:
+        """Evaluate every pending function in one forward sweep."""
+        if self._pending:
+            self._evaluate(i for i, b in enumerate(self._bits) if b is None)
+
+    @property
+    def tt_bits(self) -> List[int]:
+        """Every cut's raw truth-table bits (evaluates all pending ones)."""
+        self._evaluate_all()
+        return self._bits
 
     @staticmethod
     def _apply_gate(gate: GateType, vals: List[int]) -> int:
@@ -311,17 +423,18 @@ class CutDatabase:
         got = self._materialized[node]
         if got is None:
             start, end = self.spans[node]
-            got = [
-                Cut(self.leaves[i],
-                    TruthTable(self.tt_vars[i], self.tt_bits[i]),
-                    self.root[i], self.phase[i])
-                for i in range(start, end)
-            ]
+            got = [self.cut(i) for i in range(start, end)]
             self._materialized[node] = got
         return got
 
+    def cut(self, i: int) -> Cut:
+        """Cut record ``i`` as a new :class:`Cut` object."""
+        return Cut(self.leaves[i], TruthTable(self.tt_vars[i], self.function(i)),
+                   self.root[i], self.phase[i])
+
     def cut_lists(self) -> List[List[Cut]]:
         """Per-node cut lists for all nodes (the ``enumerate_cuts`` view)."""
+        self._evaluate_all()
         return [self.cuts(n) for n in range(len(self.spans))]
 
     def __repr__(self) -> str:

@@ -15,10 +15,11 @@ This module is the common substrate of all three cut-based mappers:
   (library match rows memoized per cut function).
 * :func:`run_cover` is the covering pipeline of the K-LUT and graph
   mappers — depth-oriented pass, global required times, area-flow recovery
-  and exact-area recovery with reference counting.  The phase-aware ASIC
-  mapper (:mod:`repro.mapping.asic_mapper`) shares the session and the
-  library cost model but runs its own cover, because it covers both phases
-  of every node and breaks ties differently.
+  and exact-area recovery with reference counting — run on flat cut
+  indices, with each usable cut's cost and delay read once per cover.
+  The phase-aware ASIC mapper (:mod:`repro.mapping.asic_mapper`) shares
+  the session and the library cost model but runs its own cover, because
+  it covers both phases of every node and breaks ties differently.
 """
 
 from __future__ import annotations
@@ -197,8 +198,16 @@ class CostModel:
     """Protocol of the unified cut cost layer.
 
     ``cut_cost`` is the area charged for selecting a cut; ``cut_delay`` the
-    delay through it.  Implementations may memoize on the cut function.
+    delay through it.  :meth:`costs` answers both for cut ``i`` of a
+    :class:`CutDatabase`, the form :func:`run_cover` reads once per usable
+    cut; a model that needs no cut function must not read one there, so the
+    database never evaluates it.  Implementations may memoize on the cut
+    function.
     """
+
+    def costs(self, db: CutDatabase, i: int) -> Tuple[float, float]:
+        """``(cut_cost, cut_delay)`` of cut ``i`` of ``db``."""
+        raise NotImplementedError
 
     def cut_cost(self, cut: Cut) -> float:
         raise NotImplementedError
@@ -209,6 +218,9 @@ class CostModel:
 
 class UnitCostModel(CostModel):
     """K-LUT costs: every cut is one LUT, one level."""
+
+    def costs(self, db: CutDatabase, i: int) -> Tuple[float, float]:
+        return 1.0, 1
 
     def cut_cost(self, cut: Cut) -> float:
         return 1.0
@@ -242,6 +254,13 @@ class NpnCostModel(CostModel):
             got = (method, gates, depth, 0 < tt.bits < tt.mask)
             self._memo[key] = got
         return got
+
+    def costs(self, db: CutDatabase, i: int) -> Tuple[float, float]:
+        if len(db.leaves[i]) <= 1:
+            return 0.0, 0
+        key = (db.tt_vars[i], db.function(i))
+        _, gates, depth, has_support = self._memo.get(key) or self.best(TruthTable(*key))
+        return float(gates), (max(depth, 1) if has_support else 0)
 
     def cut_cost(self, cut: Cut) -> float:
         if len(cut.leaves) <= 1:
@@ -366,6 +385,12 @@ def run_cover(session: MappingSession, cost_model: CostModel, *,
 
 
 class _CoverPipeline:
+    """The cover on flat cut indices: ``best[m]`` is the index of node
+    ``m``'s selected cut in the session's :class:`CutDatabase`, and every
+    pass reads leaves from ``db.leaves`` and costs from the per-cut columns
+    filled once by the cost model.  :class:`Cut` objects are built only for
+    the final selection."""
+
     def __init__(self, session, cost_model, k, cut_limit, objective,
                  flow_iterations, exact_iterations):
         self.session = session
@@ -374,46 +399,58 @@ class _CoverPipeline:
         self.objective = objective
         self.flow_iterations = flow_iterations
         self.exact_iterations = exact_iterations
-        self.cost = cost_model.cut_cost
-        self.delay = cost_model.cut_delay
+        self.cost_model = cost_model
         self.db = session.cut_database(k, cut_limit)
+        self.leaves = self.db.leaves
+        # per-cut cost and delay columns, filled by run() for usable cuts
+        self.area: List[float] = []
+        self.delay: List[float] = []
 
     def run(self) -> MappingCover:
         ntk = self.ntk
         n = ntk.num_nodes()
         db = self.db
         gate_nodes = self.session.gate_nodes()
+        leaves_of = self.leaves
 
         # Cuts a node may be implemented by: every cut except its own
         # trivial cut (single-leaf cuts of *other* nodes — absorbed choice
-        # buffers — stay usable).  Computed once and reused by every pass.
-        usable: Dict[int, List[Cut]] = {}
+        # buffers — stay usable).  Their costs are read once, here, and
+        # reused by every pass.
+        usable: List[Optional[List[int]]] = [None] * n
+        cut_area = self.area = [0.0] * db.num_cuts()
+        cut_delay = self.delay = [0] * db.num_cuts()
+        costs = self.cost_model.costs
         for m in gate_nodes:
-            usable[m] = [c for c in db.cuts(m)
-                         if len(c.leaves) > 1 or
-                         (len(c.leaves) == 1 and c.leaves[0] != m)]
+            start, end = db.spans[m]
+            ids = []
+            for i in range(start, end):
+                cl = leaves_of[i]
+                if len(cl) > 1 or (len(cl) == 1 and cl[0] != m):
+                    ids.append(i)
+                    cut_area[i], cut_delay[i] = costs(db, i)
+            usable[m] = ids
 
         arrival = [0.0] * n
         flow = [0.0] * n
-        best: List[Optional[Cut]] = [None] * n
+        best: List[int] = [-1] * n
         refs = [max(1, r) for r in self.session.initial_refs()]
-        cost = self.cost
-        delay = self.delay
 
         # ---- pass 1: depth-oriented ----
         delay_first = self.objective == "delay"
         for m in gate_nodes:
             best_key = None
-            for cut in usable[m]:
-                arr = delay(cut) + max((arrival[l] for l in cut.leaves), default=0)
-                fl = cost(cut) + sum(flow[l] / refs[l] for l in cut.leaves)
+            for i in usable[m]:
+                cl = leaves_of[i]
+                arr = cut_delay[i] + max((arrival[l] for l in cl), default=0)
+                fl = cut_area[i] + sum(flow[l] / refs[l] for l in cl)
                 key = (arr, fl) if delay_first else (fl, arr)
                 if best_key is None or key < best_key:
                     best_key = key
-                    best[m] = cut
+                    best[m] = i
                     arrival[m] = arr
                     flow[m] = fl
-            if best[m] is None:
+            if best[m] < 0:
                 raise RuntimeError(f"node {m} has no usable cut")
 
         required = self._compute_required(arrival, best)
@@ -423,15 +460,16 @@ class _CoverPipeline:
             refs = [max(1, r) for r in self._cover_refs(best)]
             for m in gate_nodes:
                 best_key = None
-                for cut in usable[m]:
-                    arr = delay(cut) + max((arrival[l] for l in cut.leaves), default=0)
+                for i in usable[m]:
+                    cl = leaves_of[i]
+                    arr = cut_delay[i] + max((arrival[l] for l in cl), default=0)
                     if arr > required[m]:
                         continue
-                    fl = cost(cut) + sum(flow[l] / refs[l] for l in cut.leaves)
+                    fl = cut_area[i] + sum(flow[l] / refs[l] for l in cl)
                     key = (fl, arr)
                     if best_key is None or key < best_key:
                         best_key = key
-                        best[m] = cut
+                        best[m] = i
                         arrival[m] = arr
                         flow[m] = fl
             required = self._compute_required(arrival, best)
@@ -446,16 +484,16 @@ class _CoverPipeline:
                 self._cut_walk(old_cut, map_refs, best, -1)
                 best_key = None
                 best_cut = old_cut
-                for cut in usable[m]:
-                    arr = delay(cut) + max((arrival[l] for l in cut.leaves), default=0)
+                for i in usable[m]:
+                    arr = cut_delay[i] + max((arrival[l] for l in leaves_of[i]), default=0)
                     if arr > required[m]:
                         continue
-                    area = self._cut_walk(cut, map_refs, best, 1)
-                    self._cut_walk(cut, map_refs, best, -1)
+                    area = self._cut_walk(i, map_refs, best, 1)
+                    self._cut_walk(i, map_refs, best, -1)
                     key = (area, arr)
                     if best_key is None or key < best_key:
                         best_key = key
-                        best_cut = cut
+                        best_cut = i
                         arrival[m] = arr
                 best[m] = best_cut
                 self._cut_walk(best_cut, map_refs, best, 1)
@@ -465,28 +503,31 @@ class _CoverPipeline:
 
     # -- helpers -------------------------------------------------------------
 
-    def _compute_required(self, arrival: List[float], best: List[Optional[Cut]]) -> List[float]:
+    def _compute_required(self, arrival: List[float], best: List[int]) -> List[float]:
         ntk = self.ntk
         n = ntk.num_nodes()
         required = [INF] * n
         po_gate_nodes = [p >> 1 for p in ntk.pos if ntk.is_gate(p >> 1)]
         if self.objective == "delay":
+            leaves_of = self.leaves
+            cut_delay = self.delay
             target = max((arrival[m] for m in po_gate_nodes), default=0)
             for m in po_gate_nodes:
                 required[m] = target
             # reverse topological propagation through selected cuts
             for m in reversed(self.order):
-                if not ntk.is_gate(m) or required[m] == INF or best[m] is None:
+                if not ntk.is_gate(m) or required[m] == INF or best[m] < 0:
                     continue
-                slack = required[m] - self.delay(best[m])
-                for l in best[m].leaves:
+                slack = required[m] - cut_delay[best[m]]
+                for l in leaves_of[best[m]]:
                     if slack < required[l]:
                         required[l] = slack
         return required
 
-    def _cover_refs(self, best: List[Optional[Cut]]) -> List[int]:
+    def _cover_refs(self, best: List[int]) -> List[int]:
         """Reference counts of the cover induced by the current best cuts."""
         ntk = self.ntk
+        leaves_of = self.leaves
         refs = [0] * ntk.num_nodes()
         stack = [p >> 1 for p in ntk.pos if ntk.is_gate(p >> 1)]
         for m in stack:
@@ -495,17 +536,17 @@ class _CoverPipeline:
         work = list(seen)
         while work:
             m = work.pop()
-            for l in best[m].leaves:
+            for l in leaves_of[best[m]]:
                 refs[l] += 1
                 if ntk.is_gate(l) and l not in seen:
                     seen.add(l)
                     work.append(l)
         return refs
 
-    def _cut_walk(self, cut: Cut, refs: List[int], best: List[Optional[Cut]],
+    def _cut_walk(self, cut: int, refs: List[int], best: List[int],
                   delta: int) -> float:
-        """Reference (``delta=1``) or dereference (``delta=-1``) ``cut``'s
-        MFFC and return its area.
+        """Reference (``delta=1``) or dereference (``delta=-1``) the MFFC
+        of cut index ``cut`` and return its area.
 
         An explicit-stack depth-first walk, so deep networks cannot overflow
         the interpreter stack: a leaf gate whose count reaches 1 (ref) or
@@ -513,10 +554,11 @@ class _CoverPipeline:
         visited in order and each child's area is added into its parent's
         frame, so the float sums associate as a recursive walk would.
         """
-        cost = self.cost
+        cut_area = self.area
+        leaves_of = self.leaves
         is_gate = self.ntk.is_gate
         hit = 1 if delta > 0 else 0
-        leaves, i, area = cut.leaves, 0, cost(cut)
+        leaves, i, area = leaves_of[cut], 0, cut_area[cut]
         stack = []
         while True:
             if i < len(leaves):
@@ -526,7 +568,7 @@ class _CoverPipeline:
                 if refs[l] == hit and is_gate(l):
                     stack.append((leaves, i, area))
                     child = best[l]
-                    leaves, i, area = child.leaves, 0, cost(child)
+                    leaves, i, area = leaves_of[child], 0, cut_area[child]
             elif stack:
                 child_area = area
                 leaves, i, area = stack.pop()
@@ -534,32 +576,33 @@ class _CoverPipeline:
             else:
                 return area
 
-    def _derive_cover(self, best: List[Optional[Cut]]) -> MappingCover:
+    def _derive_cover(self, best: List[int]) -> MappingCover:
         ntk = self.ntk
-        selection: Dict[int, Cut] = {}
-        needed = set()
+        db = self.db
+        leaves_of = self.leaves
+        chosen: Dict[int, int] = {}
         stack = [p >> 1 for p in ntk.pos if ntk.is_gate(p >> 1)]
         while stack:
             m = stack.pop()
-            if m in needed:
+            if m in chosen:
                 continue
-            needed.add(m)
-            selection[m] = best[m]
-            for l in best[m].leaves:
+            chosen[m] = best[m]
+            for l in leaves_of[best[m]]:
                 if ntk.is_gate(l):
                     stack.append(l)
-        order = [m for m in self.order if m in needed]
-        area = sum(self.cost(c) for c in selection.values())
+        order = [m for m in self.order if m in chosen]
+        area = sum(self.area[i] for i in chosen.values())
         po_gate_nodes = [p >> 1 for p in ntk.pos if ntk.is_gate(p >> 1)]
         lev: Dict[int, int] = {}
         for m in order:
-            lev[m] = self.delay(selection[m]) + max(
-                (lev.get(l, 0) for l in selection[m].leaves), default=0
+            i = chosen[m]
+            lev[m] = self.delay[i] + max(
+                (lev.get(l, 0) for l in leaves_of[i]), default=0
             )
         depth_val = max((lev[m] for m in po_gate_nodes), default=0)
         return MappingCover(
             ntk=ntk,
-            selection=selection,
+            selection={m: db.cut(i) for m, i in chosen.items()},
             order=order,
             depth=depth_val,
             area=area,

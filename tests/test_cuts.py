@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import build
+from repro.circuits import ALL_BENCHMARKS, build
 from repro.core import MchParams, build_mch
 from repro.cuts import (
     Cut,
@@ -20,6 +20,7 @@ from repro.cuts import (
 )
 from repro.mapping import MappingSession, asic_map, graph_map, lut_map
 from repro.networks import Aig, MixedNetwork, Xmg
+from repro.flow import run_flow
 from repro.networks.base import lit_not
 from repro.truth.truth_table import TruthTable
 
@@ -310,13 +311,13 @@ class TestScale:
         assert max(per_cut) <= 1.5 * min(per_cut), per_cut
 
 
-def and_chain(n: int) -> Aig:
-    """A depth-``n`` AND chain over 4 PIs."""
+def and_chain(n: int, n_pis: int = 4) -> Aig:
+    """A depth-``n`` AND chain over ``n_pis`` PIs."""
     ntk = Aig()
-    pis = [ntk.create_pi() for _ in range(4)]
+    pis = [ntk.create_pi() for _ in range(n_pis)]
     x = pis[0]
     for i in range(n):
-        x = ntk.create_and(x ^ (i & 1), pis[1 + i % 3])
+        x = ntk.create_and(x ^ (i & 1), pis[1 + i % (n_pis - 1)])
     ntk.create_po(x)
     return ntk
 
@@ -378,6 +379,100 @@ class TestDeepNetworkCover:
             "d4f3e94bc88f2896ad275219fb0d3ed7e9f90ffb601e35dc99ba41d7765bd64b"
         # the mapper must not raise the interpreter limit behind the caller
         assert after == before
+
+
+# Recorded with eager cut functions and the Cut-object cover: covering on
+# flat cut indices with functions evaluated on demand must select the same
+# cuts and fill the same LUTs and gates.
+LUT_MCH_DIGESTS = {
+    "hyp": "3714834e799c89a0726a324c314c899b6fe3bdc845cb07607bb447c7c4b0a5cc",
+    "sin": "002a8aee05786851d7301dbe7b07db40c3c0b93df93407185413c6f0e60d7928",
+    "square": "1a8c3bd8185f08eb24d20257d555b264134402241d7a35b3ac5fdf9e6c498fd5",
+    "voter": "573a839bb61b72fb8becc37d79257c0a6eefd3fdaaf4b0b6a9ec2fd306ac8605",
+}
+GM_TINY_DIGESTS = {
+    "adder": "27958c0e15f65019e635e39091f95001bd6b650f33adeca5aecd50c75ab3abc8",
+    "bar": "a8892d757147e6d270b2ea00c3b1ec24f1406ab961214461d7241ff8b21cadf3",
+    "div": "34731de6203ce84babf4fc994553e4bff1495a2682e5bbbcb955f1d5199ecb76",
+    "hyp": "d49c9419ef9818353254d7dfaf3e0c519ecf0e89b54814bc25b554b1cc4aba01",
+    "log2": "6b2c55b6c4ca3aa01e98a36c7fde67586bce045ac05473a7071524798278c99e",
+    "max": "49ce66260f50b6896b706bee3717e4f5adde3348386ce227e31d3642fbbd4264",
+    "multiplier": "7a86e707a22a04f4f69a56ed5289d87aa79a35b906ce336f82b9291c0e249f53",
+    "sin": "697d49723b9dabb6ca3215b1ce28ba575c6bb449efd8cbdd6cb331dd3cc4f234",
+    "sqrt": "280503ee5b002a33bd9a1d148b9ab5a48e5c9e546d7c8ed8ec94d4c9cc593345",
+    "square": "5c3e8c35a7cfaba3300d47a9a73e9558d01853cc688c0d4c1ffce23014f15a47",
+    "arbiter": "211d2f03739d3c4a7e85709521a3d8e2c7246a9dc25c291a60ebaab446653289",
+    "cavlc": "edfd481dead0bd4a35d3850c1c482c7946553e143fba6555442eae335e7898d7",
+    "ctrl": "76760cb911a32b2b7a31fef60269b09173b402b5b3258e70e4566c984fa8310a",
+    "dec": "bac3ea6fc03a9557323eec765575ce5a69c594abd917580f42c33efa365e947b",
+    "i2c": "2ee6c639c386a799eee93428a57d0da31e8c701a8344fe6a6ec9e3145b207da6",
+    "int2float": "dd3dac8ab6bc4a449e40d9b7b351b828d83bdbb2fd4e798f75bf6b4f1942efbd",
+    "mem_ctrl": "afb25e9dfd676ff85e894f6ac385f29141f0df4207b98f951f7331d374e458a8",
+    "priority": "5c93bec2809cc957615a157ac845a455f340244483b8b1962ab964b2c9c40ce9",
+    "router": "ec673b215b318a139b6677bb757da040a923e0e76311f4c9f87208f67f606854",
+    "voter": "428187e20aa68bd5901be49aa791dfe7ba895450310e2f1666c6e5293c512ce5",
+}
+
+
+class TestCoverDigests:
+    @pytest.mark.parametrize("name", sorted(LUT_MCH_DIGESTS))
+    def test_lut_mch(self, converged, name):
+        lut = run_flow(converged(name), "mch -p xmg; if -k 6").network
+        assert lut_digest(lut) == LUT_MCH_DIGESTS[name]
+
+    def test_gm_tiny_suite(self):
+        assert sorted(GM_TINY_DIGESTS) == sorted(ALL_BENCHMARKS)
+        got = {name: ntk_digest(run_flow(build(name, "tiny"), "gm").network)
+               for name in ALL_BENCHMARKS}
+        assert got == GM_TINY_DIGESTS
+
+
+def bits_digest(db) -> str:
+    return hashlib.sha256(repr(db.tt_bits).encode()).hexdigest()
+
+
+class TestFunctionsOnDemand:
+    def test_read_after_node_appends(self):
+        """``mch`` appends candidate nodes between building its database and
+        reading it; the functions must still be those of the build."""
+        ntk = MixedNetwork()
+        build("cavlc", "tiny").copy_into(ntk)
+        original = ntk.num_nodes()
+        before = CutDatabase(ntk, k=6, cut_limit=8)
+        rng = random.Random(3)
+        for g in list(ntk.gates()):
+            a, b, c = (rng.randrange(1, g + 1) << 1 ^ rng.getrandbits(1)
+                       for _ in range(3))
+            ntk.create_po(ntk.create_maj(a, b, c))
+            ntk.create_po(ntk.create_xor(a, g << 1))
+        assert ntk.num_nodes() > original
+        after = CutDatabase(ntk, k=6, cut_limit=8, nodes=range(original))
+        assert before.stats["functions"] == 0
+        assert bits_digest(before) == bits_digest(after)
+
+    def test_cold_read_on_deep_chain(self):
+        """Over two PIs every node's smallest cut is the PI pair, derived
+        from the predecessor's: one read evaluates nearly the whole chain."""
+        ntk = and_chain(1500, n_pis=2)
+        db = CutDatabase(ntk, k=6, cut_limit=8)
+        start, end = db.spans[max(ntk.gates())]
+        last = end - 2          # the last cut that is not a trivial cut
+        got = TestDeepNetworkCover._with_low_recursion_limit(lambda: db.function(last))
+        assert 1000 < db.stats["functions"] < db.num_cuts()
+        assert got == CutDatabase(ntk, k=6, cut_limit=8).tt_bits[last]
+
+    def test_cut_limit_bound(self):
+        """Derivations pack span positions into fixed-width fields."""
+        with pytest.raises(ValueError):
+            CutDatabase(build_sample(Aig), k=4, cut_limit=(1 << 20) + 1)
+        CutDatabase(build_sample(Aig), k=4, cut_limit=1 << 20)
+
+    def test_lut_map_reads_few_functions(self):
+        ntk = build("int2float", "tiny")
+        session = MappingSession.of(ntk)
+        lut_map(session, k=6, cut_limit=8)
+        stats = session.cut_database(6, 8).stats
+        assert 0 < stats["functions"] <= stats["cuts"] / 4, stats
 
 
 class TestExpandCacheBound:

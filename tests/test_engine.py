@@ -94,6 +94,15 @@ class TestCostModels:
         assert model.cut_cost(cut) == first
         assert (cut.tt.num_vars, cut.tt.bits) in model._memo
 
+    @pytest.mark.parametrize("make", [UnitCostModel, lambda: NpnCostModel(Xmg, "area")],
+                             ids=["unit", "npn"])
+    def test_index_costs_match_cut_costs(self, make):
+        model = make()
+        db = CutDatabase(build("ctrl", "tiny"), k=4, cut_limit=6)
+        for i in range(db.num_cuts()):
+            cut = db.cut(i)
+            assert model.costs(db, i) == (model.cut_cost(cut), model.cut_delay(cut))
+
     def test_library_cost_model_shared(self):
         lib = asap7_library()
         assert library_cost_model(lib) is library_cost_model(lib)
