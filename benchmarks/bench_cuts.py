@@ -79,7 +79,8 @@ def measure(scale: str = SCALE) -> dict:
     baseline_cuts = baseline_enumerate_cuts(ntk, K, CUT_LIMIT)
     t_base = time.perf_counter() - t0
 
-    identical = _cut_signature(db.cut_lists()) == _cut_signature(baseline_cuts)
+    per_node = [db.cuts(n) for n in range(len(db.spans))]
+    identical = _cut_signature(per_node) == _cut_signature(baseline_cuts)
 
     session = MappingSession(ntk)
     t0 = time.perf_counter()

@@ -2,12 +2,11 @@
 
 from .cut import Cut
 from .database import CutDatabase
-from .enumeration import enumerate_cuts, expand_cache_stats, expand_tt
+from .enumeration import expand_cache_stats, expand_tt
 
 __all__ = [
     "Cut",
     "CutDatabase",
-    "enumerate_cuts",
     "expand_tt",
     "expand_cache_stats",
 ]

@@ -24,8 +24,10 @@ mask-driven:
   and the database's memory stays proportional to the number of *distinct*
   leaf sets.
 
-The legacy ``enumerate_cuts`` API is a thin list-of-:class:`Cut` view over
-this database (see :func:`repro.cuts.enumeration.enumerate_cuts`).
+The mappers read the flat arrays directly.  :meth:`CutDatabase.cuts` (one
+node's span) and :meth:`CutDatabase.cut` (one record) wrap records as
+:class:`Cut` objects for the consumers that want them: MCH candidate
+generation and the final selection of a cover.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ class CutDatabase:
 
     ``spans[node] == (start, end)`` indexes the node's cut records inside the
     flat arrays; the trivial cut of a gate node is always the last record of
-    its span.  :meth:`cuts` materializes (and memoizes) the node's records as
-    :class:`Cut` objects for consumers that want the object view.
+    its span.  :meth:`cuts` builds the node's records as new :class:`Cut`
+    objects for consumers that want the object view.
 
     Cut functions are computed on demand: :meth:`function` evaluates one
     cut (and whatever it derives from), :attr:`tt_bits` all of them.
@@ -83,16 +85,18 @@ class CutDatabase:
     __slots__ = (
         "ntk", "k", "cut_limit", "network_version",
         "leaves", "tt_vars", "root", "phase",
-        "spans", "stats", "_materialized", "_intern",
+        "spans", "stats", "_intern",
         "_bits", "_deriv", "_pending", "_kinds", "_fanins",
     )
 
     def __init__(self, ntk, k: int = 6, cut_limit: int = 8,
-                 nodes: Optional[Sequence[int]] = None,
                  order: Optional[Sequence[int]] = None,
                  choices: Optional[Dict[int, List[Tuple[int, bool]]]] = None):
-        if cut_limit > _MAX_CUT_LIMIT:
-            raise ValueError(f"cut_limit must be at most {_MAX_CUT_LIMIT}")
+        # below 2, a gate keeps only its trivial cut and no mapper can cover it
+        if k < 2:
+            raise ValueError(f"k must be at least 2, got {k}")
+        if not 2 <= cut_limit <= _MAX_CUT_LIMIT:
+            raise ValueError(f"cut_limit must be in [2, {_MAX_CUT_LIMIT}], got {cut_limit}")
         self.ntk = ntk
         self.k = k
         self.cut_limit = cut_limit
@@ -107,7 +111,6 @@ class CutDatabase:
         self.phase: List[bool] = []
         # per-node (start, end) spans into the flat arrays
         self.spans: List[Tuple[int, int]] = [(0, 0)] * n_total
-        self._materialized: List[Optional[List[Cut]]] = [None] * n_total
         self._intern: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         # one derivation per cut (see _POS_BITS); every cut it names has a
         # lower index.  Constant and trivial cuts store 0: their functions
@@ -119,7 +122,7 @@ class CutDatabase:
             "nodes": 0, "cuts": 0, "candidates": 0, "dominated": 0,
             "subset_checks": 0, "functions": 0,
         }
-        self._build(nodes, order, choices)
+        self._build(order, choices)
         self._pending = self._bits.count(None)
         self.stats["cuts"] = len(self.leaves)
         self.stats["distinct_leaf_sets"] = len(self._intern)
@@ -128,7 +131,7 @@ class CutDatabase:
     # construction                                                        #
     # ------------------------------------------------------------------ #
 
-    def _build(self, nodes, order, choices) -> None:
+    def _build(self, order, choices) -> None:
         ntk = self.ntk
         k = self.k
 
@@ -142,19 +145,6 @@ class CutDatabase:
         self._kinds = kinds
         self._fanins = list(fanins)
 
-        todo = None
-        if nodes is not None:
-            if choices is not None:
-                raise ValueError("node restriction cannot be combined with choices")
-            todo = set()
-            stack = list(nodes)
-            while stack:
-                m = stack.pop()
-                if m in todo:
-                    continue
-                todo.add(m)
-                stack.extend(f >> 1 for f in ntk.fanins(m))
-
         # local aliases for the hot loop
         flat_leaves = self.leaves
         flat_bits = self._bits
@@ -165,14 +155,12 @@ class CutDatabase:
         spans = self.spans
         intern = self._intern
         stats = self.stats
-        limit = max(self.cut_limit - 1, 0)
+        limit = self.cut_limit - 1
 
         if order is None:
             order = ntk.topological_order()
 
         for node in order:
-            if todo is not None and node not in todo:
-                continue
             stats["nodes"] += 1
             start = len(flat_leaves)
             t = kinds[node]
@@ -383,15 +371,12 @@ class CutDatabase:
             got = bits_of[i]
         return got
 
-    def _evaluate_all(self) -> None:
-        """Evaluate every pending function in one forward sweep."""
-        if self._pending:
-            self._evaluate(i for i, b in enumerate(self._bits) if b is None)
-
     @property
     def tt_bits(self) -> List[int]:
-        """Every cut's raw truth-table bits (evaluates all pending ones)."""
-        self._evaluate_all()
+        """Every cut's raw truth-table bits; evaluates all pending ones in
+        one forward sweep."""
+        if self._pending:
+            self._evaluate(i for i, b in enumerate(self._bits) if b is None)
         return self._bits
 
     @staticmethod
@@ -415,27 +400,14 @@ class CutDatabase:
         return len(self.leaves)
 
     def cuts(self, node: int) -> List[Cut]:
-        """The node's cut records as :class:`Cut` objects (memoized).
-
-        The returned list (and its cuts) is shared between all consumers of
-        the database — treat it as read-only.
-        """
-        got = self._materialized[node]
-        if got is None:
-            start, end = self.spans[node]
-            got = [self.cut(i) for i in range(start, end)]
-            self._materialized[node] = got
-        return got
+        """The node's cut records as new :class:`Cut` objects, in span order."""
+        start, end = self.spans[node]
+        return [self.cut(i) for i in range(start, end)]
 
     def cut(self, i: int) -> Cut:
         """Cut record ``i`` as a new :class:`Cut` object."""
         return Cut(self.leaves[i], TruthTable(self.tt_vars[i], self.function(i)),
                    self.root[i], self.phase[i])
-
-    def cut_lists(self) -> List[List[Cut]]:
-        """Per-node cut lists for all nodes (the ``enumerate_cuts`` view)."""
-        self._evaluate_all()
-        return [self.cuts(n) for n in range(len(self.spans))]
 
     def __repr__(self) -> str:
         return (f"<CutDatabase nodes={self.stats['nodes']} cuts={self.num_cuts()} "

@@ -1,33 +1,29 @@
-"""Priority-cut enumeration (Mishchenko et al., ICCAD'07).
+"""Truth-table expansion for cut functions.
 
-For every node of a network this computes up to ``cut_limit`` k-feasible cuts
-by merging the fanin cut sets, filtering dominated cuts, and attaching the
-exact cut function as a truth table.  Cut functions are what both the
+A cut's function is built from its fanin cuts' functions, each re-expressed
+over the merged cut's larger leaf set.  Those functions are what both the
 K-LUT mapper (LUT content) and the ASIC mapper (Boolean matching against
 library cells) consume, and what MCH's multi-strategy resynthesis
 (Algorithm 2) rewrites.
 
-The actual enumeration engine lives in :mod:`repro.cuts.database` — a flat
+Priority-cut enumeration itself (Mishchenko et al., ICCAD'07) lives in
+:mod:`repro.cuts.database`: one flat
 :class:`~repro.cuts.database.CutDatabase` that merges cuts on local leaf
-masks, shared by all mapper passes.  :func:`enumerate_cuts` is the stable list-of-``Cut`` view of
-that database.
+masks and evaluates their functions on demand with :func:`_expand_bits`,
+shared by all mapper passes.
 
-This module also owns the truth-table *expansion* machinery (re-expressing a
-cut function over a merged leaf set).  Expansion masks are memoized in one
-bounded :func:`functools.lru_cache`; :func:`expand_cache_stats` reports its
-``cache_info()``.
+Expansion masks are memoized in one bounded :func:`functools.lru_cache`;
+:func:`expand_cache_stats` reports its ``cache_info()``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..truth.truth_table import TruthTable
-from .cut import Cut
 
 __all__ = [
-    "enumerate_cuts",
     "expand_tt",
     "expand_cache_stats",
 ]
@@ -75,57 +71,3 @@ def expand_tt(tt: TruthTable, positions: Sequence[int], num_vars: int) -> int:
 def expand_cache_stats() -> Dict[str, int]:
     """``cache_info()`` of the expansion-mask memo: hits/misses/maxsize/currsize."""
     return _expand_masks.cache_info()._asdict()
-
-
-def _merge_leaves(a: Tuple[int, ...], b: Tuple[int, ...], k: int):
-    """Sorted union of two leaf tuples, or None if it exceeds ``k``."""
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        if len(out) > k:
-            return None
-        if a[i] == b[j]:
-            out.append(a[i])
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    if len(out) > k:
-        return None
-    return tuple(out)
-
-
-def enumerate_cuts(ntk, k: int = 6, cut_limit: int = 8,
-                   nodes: Sequence[int] = None, order: Sequence[int] = None,
-                   choices: "Dict[int, List[Tuple[int, bool]]]" = None) -> List[List[Cut]]:
-    """Compute priority cuts for every node.
-
-    Returns ``cuts[node]`` — a list of at most ``cut_limit`` priority cuts
-    followed by the trivial cut ``{node}``, which for gate nodes is **always
-    the last element** of the list (kept last so the mapper can always fall
-    back on it without it ever displacing a real cut from the budget).  Cut
-    truth tables are exact.
-
-    ``nodes`` optionally restricts computation to a node subset (plus their
-    transitive fanin), used when only part of the network needs cuts.
-
-    ``choices`` maps representative nodes to ``(choice_node, phase)`` pairs;
-    when given (together with a compatible ``order``, normally
-    :meth:`ChoiceNetwork.processing_order`), the cut set of each
-    representative absorbs the cut sets of its choice nodes — the cut-merging
-    step of the paper's Algorithm 3.  Merged cut truth tables are normalized
-    to the representative's polarity, so downstream consumers never see the
-    choice phase.
-    """
-    from .database import CutDatabase
-
-    db = CutDatabase(ntk, k=k, cut_limit=cut_limit, nodes=nodes, order=order,
-                     choices=choices)
-    return db.cut_lists()

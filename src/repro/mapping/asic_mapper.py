@@ -12,8 +12,10 @@ Delay model: fixed per-pin cell delays in ps, load-independent (see
 ``asap7.py``).  Objectives: ``'delay'`` minimizes arrival then recovers area
 under required times; ``'area'`` minimizes area flow directly.
 
-Cuts come from the shared :class:`~repro.mapping.engine.MappingSession` cut
-database and Boolean matching runs through
+Cuts are read straight from the flat arrays of the shared
+:class:`~repro.mapping.engine.MappingSession` cut database (each node's span
+of leaf tuples and raw functions; no :class:`~repro.cuts.cut.Cut` object is
+built), and Boolean matching runs through
 :class:`~repro.mapping.engine.LibraryCostModel`, which memoizes the match rows
 of every distinct cut function: each row is a cell plus its pins indexed into
 the cut's full leaf tuple, so every covering pass selects straight from the
@@ -87,8 +89,8 @@ class AsicMapper:
     def run(self) -> CellNetlist:
         ntk = self.ntk
         n = ntk.num_nodes()
-        self.cuts = self.session.cut_database(self.costs.max_pins,
-                                              self.cut_limit).cut_lists()
+        db = self.session.cut_database(self.costs.max_pins, self.cut_limit)
+        self.db, self.bits = db, db.tt_bits
         gate_nodes = self.session.gate_nodes()
 
         arrival = [[INF, INF] for _ in range(n)]
@@ -179,16 +181,20 @@ class AsicMapper:
         return self._derive(impl)
 
     def _rows(self, m: int, phase: int) -> Iterator[tuple]:
-        """``(cell, leaves, pins)`` candidates of (m, phase): the node's cuts
-        in order, skipping its trivial cut, and each cut's memoized match
-        rows in order.  ``pins`` index ``leaves``; a ``None`` cell marks a
-        phase that is constant (a zero-cost tie) and ``pins`` is its value."""
+        """``(cell, leaves, pins)`` candidates of (m, phase): the cuts of m's
+        span in the database in order, skipping its trivial cut, and each
+        cut's memoized match rows in order.  ``pins`` index ``leaves``; a
+        ``None`` cell marks a phase that is constant (a zero-cost tie) and
+        ``pins`` is its value."""
         rows = self.costs.rows
-        for cut in self.cuts[m]:
-            leaves = cut.leaves
+        db, bits = self.db, self.bits
+        leaves_of, vars_of = db.leaves, db.tt_vars
+        start, end = db.spans[m]
+        for i in range(start, end):
+            leaves = leaves_of[i]
             if len(leaves) == 1 and leaves[0] == m:
                 continue
-            for cell, pins in rows(cut.tt)[phase]:
+            for cell, pins in rows(vars_of[i], bits[i])[phase]:
                 yield cell, leaves, pins
 
     def _inverter(self, node: int, phase: int) -> _Impl:

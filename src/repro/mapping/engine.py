@@ -106,9 +106,7 @@ class MappingSession:
         return session
 
     def _count_choices(self) -> int:
-        if self.choices is None:
-            return 0
-        return sum(len(v) for v in self.choices.values())
+        return self.subject.num_choices() if self.choices is not None else 0
 
     def is_current(self) -> bool:
         """True while the subject has not structurally changed."""
@@ -295,18 +293,21 @@ class LibraryCostModel:
         self.inverter = library.inverter
         self._rows: Dict[Tuple[int, int], Tuple[tuple, tuple]] = {}
 
-    def rows(self, tt: TruthTable) -> Tuple[tuple, tuple]:
-        """Match rows of a cut function in phase 0 (``tt``) and 1 (``~tt``).
+    def rows(self, num_vars: int, bits: int) -> Tuple[tuple, tuple]:
+        """Match rows of the cut function ``tt = TruthTable(num_vars, bits)``
+        in phase 0 (``tt``) and 1 (``~tt``).
 
         Each phase is a tuple of ``(cell, pins)`` rows in :meth:`matches`
         order, where ``pins`` holds one ``(variable, leaf phase, pin delay)``
         row per cell input and ``variable`` indexes ``tt``'s own variables
         (the support reduction is already undone).  A phase that is
-        constant is the single row ``(None, value)``.
+        constant is the single row ``(None, value)``.  The raw key lets the
+        mapper look rows up straight from a :class:`CutDatabase`'s columns.
         """
-        key = (tt.num_vars, tt.bits)
+        key = (num_vars, bits)
         got = self._rows.get(key)
         if got is None:
+            tt = TruthTable(num_vars, bits)
             got = (self._phase_rows(tt), self._phase_rows(~tt))
             self._rows[key] = got
         return got

@@ -6,6 +6,7 @@ import pytest
 
 from repro.circuits import build
 from repro.core import MchParams, build_mch
+from repro.cuts import Cut
 from repro.flow import run_flow
 from repro.mapping import (
     LibraryCostModel,
@@ -279,7 +280,7 @@ class TestMatchRowsMemo:
         choices = run_flow(build("int2float", "tiny"), self.SCRIPT).network
         first = asic_map(choices, library=fresh)
         db = MappingSession.of(choices).cut_database(4, 8)
-        functions = {(c.tt.num_vars, c.tt.bits) for cuts in db.cut_lists() for c in cuts}
+        functions = set(zip(db.tt_vars, db.tt_bits))
         assert 0 < calls["min_base"] <= 2 * len(functions)
         assert library_cost_model(fresh).stats()["rows_memo"] <= len(functions)
 
@@ -289,6 +290,22 @@ class TestMatchRowsMemo:
         assert calls == {"min_base": 0, "matches": 0}
         assert netlist_digest(second) == netlist_digest(first)
         assert netlist_digest(first) == netlist_digest(asic_map(choices))
+
+    def test_mapper_builds_no_cut_objects(self, monkeypatch):
+        """The mapper selects from the database's flat arrays: mapping a
+        choice network wraps none of its cuts in a ``Cut``."""
+        choices = build_mch(build("adder", "tiny"), MchParams(representations=(Xmg,)))
+        built = []
+        init = Cut.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cut, "__init__", counted)
+        nl = asic_map(choices)
+        assert built == []
+        assert cec(build("adder", "tiny"), nl.to_logic_network(Aig))
 
     def test_supergate_library_has_its_own_memo(self):
         asap7 = asap7_library()

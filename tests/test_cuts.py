@@ -14,7 +14,6 @@ from repro.core import MchParams, build_mch
 from repro.cuts import (
     Cut,
     CutDatabase,
-    enumerate_cuts,
     expand_cache_stats,
     expand_tt,
 )
@@ -25,7 +24,7 @@ from repro.networks.base import lit_not
 from repro.truth.truth_table import TruthTable
 
 
-def check_cut_functions(ntk, cuts):
+def check_cut_functions(ntk, db):
     """Every cut function must match simulation of the node from the leaves."""
     n_pis = ntk.num_pis()
     # Assign each node's global function by simulation
@@ -35,7 +34,7 @@ def check_cut_functions(ntk, cuts):
     vals = ntk.simulate_patterns(patterns, mask)
 
     for node in ntk.gates():
-        for cut in cuts[node]:
+        for cut in db.cuts(node):
             assert len(cut.leaves) <= 6
             # compose: cut tt applied to leaf global functions == node function
             got = 0
@@ -76,49 +75,51 @@ class TestExpand:
 class TestEnumeration:
     def test_pi_trivial_cut(self):
         ntk = build_sample(Aig)
-        cuts = enumerate_cuts(ntk, k=4)
+        db = CutDatabase(ntk, k=4)
         pi = ntk.pis[0]
-        assert len(cuts[pi]) == 1
-        assert cuts[pi][0].leaves == (pi,)
+        assert len(db.cuts(pi)) == 1
+        assert db.cuts(pi)[0].leaves == (pi,)
 
     def test_every_gate_has_trivial_cut(self):
         ntk = build_sample(Aig)
-        cuts = enumerate_cuts(ntk, k=4)
+        db = CutDatabase(ntk, k=4)
         for g in ntk.gates():
-            assert any(c.is_trivial() for c in cuts[g])
+            assert any(c.is_trivial() for c in db.cuts(g))
 
     def test_cut_functions_aig(self):
         ntk = build_sample(Aig)
-        cuts = enumerate_cuts(ntk, k=4)
-        check_cut_functions(ntk, cuts)
+        check_cut_functions(ntk, CutDatabase(ntk, k=4))
 
     def test_cut_functions_xmg(self):
         ntk = build_sample(Xmg)
-        cuts = enumerate_cuts(ntk, k=4)
-        check_cut_functions(ntk, cuts)
+        check_cut_functions(ntk, CutDatabase(ntk, k=4))
 
     def test_k_bound_respected(self):
         ntk = build_sample(Aig)
         for k in (2, 3, 4):
-            cuts = enumerate_cuts(ntk, k=k)
+            db = CutDatabase(ntk, k=k)
             for g in ntk.gates():
-                for c in cuts[g]:
+                for c in db.cuts(g):
                     assert len(c.leaves) <= k
 
     def test_cut_limit_respected(self):
         ntk = build_sample(MixedNetwork)
-        cuts = enumerate_cuts(ntk, k=4, cut_limit=3)
+        db = CutDatabase(ntk, k=4, cut_limit=3)
         for g in ntk.gates():
-            assert len(cuts[g]) <= 3
+            assert len(db.cuts(g)) <= 3
 
-    def test_nodes_restriction(self):
-        ntk = build_sample(Aig)
-        last_gate = max(ntk.gates())
-        cuts = enumerate_cuts(ntk, k=4, nodes=[last_gate])
-        assert cuts[last_gate]  # computed
-        # function check on computed subset only
-        check = [g for g in ntk.gates() if cuts[g]]
-        assert last_gate in check
+    @pytest.mark.parametrize("run", [
+        lambda ntk: lut_map(ntk, k=1),
+        lambda ntk: lut_map(ntk, cut_limit=1),
+        lambda ntk: asic_map(ntk, cut_limit=1),
+        lambda ntk: build_mch(ntk, MchParams(cut_size=1)),
+        lambda ntk: build_mch(ntk, MchParams(cut_limit=1)),
+    ], ids=["lut-k", "lut-limit", "asic-limit", "mch-k", "mch-limit"])
+    def test_trivial_only_budget_rejected(self, run):
+        """Below k = 2 or cut_limit = 2 a gate keeps only its trivial cut,
+        which no mapper can use: the database refuses the budget."""
+        with pytest.raises(ValueError, match="at least 2|in \\[2, "):
+            run(build("adder", "tiny"))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -141,8 +142,7 @@ class TestEnumeration:
             else:
                 lits.append(ntk.create_xor3(*picks))
         ntk.create_po(lits[-1])
-        cuts = enumerate_cuts(ntk, k=4, cut_limit=6)
-        check_cut_functions(ntk, cuts)
+        check_cut_functions(ntk, CutDatabase(ntk, k=4, cut_limit=6))
 
 
 class TestTrivialCutInvariant:
@@ -151,11 +151,11 @@ class TestTrivialCutInvariant:
         for cls in (Aig, Xmg, MixedNetwork):
             ntk = build_sample(cls)
             for limit in (2, 3, 8):
-                cuts = enumerate_cuts(ntk, k=4, cut_limit=limit)
+                db = CutDatabase(ntk, k=4, cut_limit=limit)
                 for g in ntk.gates():
-                    last = cuts[g][-1]
-                    assert last.is_trivial(), f"{cls.__name__} node {g}"
-                    assert all(not c.is_trivial() for c in cuts[g][:-1])
+                    cuts = db.cuts(g)
+                    assert cuts[-1].is_trivial(), f"{cls.__name__} node {g}"
+                    assert all(not c.is_trivial() for c in cuts[:-1])
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=15, deadline=None)
@@ -174,9 +174,10 @@ class TestTrivialCutInvariant:
             else:
                 lits.append(ntk.create_maj(*picks))
         ntk.create_po(lits[-1])
-        cuts = enumerate_cuts(ntk, k=4, cut_limit=6)
+        db = CutDatabase(ntk, k=4, cut_limit=6)
         for g in ntk.gates():
-            assert cuts[g] and cuts[g][-1].is_trivial()
+            cuts = db.cuts(g)
+            assert cuts and cuts[-1].is_trivial()
 
 
 class TestCutDatabase:
@@ -187,16 +188,6 @@ class TestCutDatabase:
         for leaves in db.leaves:
             prior = by_value.setdefault(leaves, leaves)
             assert prior is leaves  # equal tuples share one object
-
-    def test_view_consistency_with_enumerate_cuts(self):
-        """API contract: the wrapper view exposes exactly the db records."""
-        ntk = build_sample(Xmg)
-        db = CutDatabase(ntk, k=4, cut_limit=8)
-        lists = enumerate_cuts(ntk, k=4, cut_limit=8)
-        for node in ntk.nodes():
-            got = db.cuts(node)
-            assert [(c.leaves, c.tt.bits) for c in got] == \
-                [(c.leaves, c.tt.bits) for c in lists[node]]
 
     def test_cuts_against_reference_enumeration(self):
         """Independent oracle: with a generous budget the database holds
@@ -238,12 +229,6 @@ class TestCutDatabase:
             for i, a in enumerate(cuts):
                 for j, b in enumerate(cuts):
                     assert i == j or not a < b, f"dominated cut kept at node {g}"
-
-    def test_materialized_lists_are_memoized(self):
-        ntk = build_sample(Aig)
-        db = CutDatabase(ntk, k=4, cut_limit=8)
-        g = max(ntk.gates())
-        assert db.cuts(g) is db.cuts(g)
 
 
 def db_digest(db) -> str:
@@ -438,6 +423,7 @@ class TestFunctionsOnDemand:
         ntk = MixedNetwork()
         build("cavlc", "tiny").copy_into(ntk)
         original = ntk.num_nodes()
+        order = list(ntk.topological_order())
         before = CutDatabase(ntk, k=6, cut_limit=8)
         rng = random.Random(3)
         for g in list(ntk.gates()):
@@ -446,7 +432,7 @@ class TestFunctionsOnDemand:
             ntk.create_po(ntk.create_maj(a, b, c))
             ntk.create_po(ntk.create_xor(a, g << 1))
         assert ntk.num_nodes() > original
-        after = CutDatabase(ntk, k=6, cut_limit=8, nodes=range(original))
+        after = CutDatabase(ntk, k=6, cut_limit=8, order=order)
         assert before.stats["functions"] == 0
         assert bits_digest(before) == bits_digest(after)
 
@@ -479,7 +465,7 @@ class TestExpandCacheBound:
     def test_stats_hook_counts(self):
         before = expand_cache_stats()
         ntk = build_sample(Aig)
-        enumerate_cuts(ntk, k=4)
+        CutDatabase(ntk, k=4).tt_bits
         after = expand_cache_stats()
         assert after["hits"] + after["misses"] > before["hits"] + before["misses"]
         assert set(after) == {"hits", "misses", "maxsize", "currsize"}

@@ -113,8 +113,8 @@ class TestCostModels:
         ntk = build("ctrl", "tiny")
         db = CutDatabase(ntk, k=4, cut_limit=6)
         cut = db.cuts(max(ntk.gates()))[0]
-        rows = model.rows(cut.tt)
-        assert model.rows(cut.tt) is rows and all(rows)
+        rows = model.rows(cut.tt.num_vars, cut.tt.bits)
+        assert model.rows(cut.tt.num_vars, cut.tt.bits) is rows and all(rows)
         # each row's pins index the cut's own variables: evaluating the
         # cell on them reproduces the function in that phase
         for phase, rows_of_phase in enumerate(rows):

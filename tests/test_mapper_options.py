@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuits import build
 from repro.core import MchParams, build_mch
-from repro.cuts import enumerate_cuts
+from repro.cuts import CutDatabase
 from repro.mapping import MappingSession, UnitCostModel, asic_map, lut_map, run_cover
 from repro.networks import Aig, Xmg
 from repro.sat import cec
@@ -78,15 +78,15 @@ class TestChoiceCutsDetails:
         ntk = build("adder", "tiny")
         ch = build_mch(ntk, MchParams(representations=(Xmg,)))
         l = 6
-        cuts = enumerate_cuts(ch.ntk, k=4, cut_limit=l,
-                              order=ch.processing_order(), choices=ch.choices_of)
+        db = CutDatabase(ch.ntk, k=4, cut_limit=l,
+                         order=ch.processing_order(), choices=ch.choices_of)
         for rep in ch.choices_of:
             # own budget + choice budget + trivial
-            assert len(cuts[rep]) <= 2 * l
+            assert len(db.cuts(rep)) <= 2 * l
 
     def test_plain_enumeration_unchanged_by_choice_arg_none(self):
         ntk = build("ctrl", "tiny")
-        a = enumerate_cuts(ntk, k=4, cut_limit=8)
-        b = enumerate_cuts(ntk, k=4, cut_limit=8, order=list(range(ntk.num_nodes())))
-        for x, y in zip(a, b):
-            assert [c.leaves for c in x] == [c.leaves for c in y]
+        a = CutDatabase(ntk, k=4, cut_limit=8)
+        b = CutDatabase(ntk, k=4, cut_limit=8, order=list(range(ntk.num_nodes())))
+        for n in ntk.nodes():
+            assert [c.leaves for c in a.cuts(n)] == [c.leaves for c in b.cuts(n)]

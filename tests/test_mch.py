@@ -8,7 +8,7 @@ import pytest
 from repro.circuits import build
 from repro.core import ChoiceNetwork, MchParams, build_dch, build_mch, critical_nodes
 from repro.core.critical import node_heights
-from repro.cuts import enumerate_cuts
+from repro.cuts import CutDatabase
 from repro.flow import run_flow
 from repro.networks import Aig, Mig, MixedNetwork, Xag, Xmg
 from repro.opt import optimize_rounds
@@ -210,18 +210,18 @@ class TestCutMergingAlgorithm3:
     def test_merged_cuts_present(self):
         ntk = build("adder", "tiny")
         ch = build_mch(ntk, MchParams(representations=(Xmg,)))
-        cuts = enumerate_cuts(ch.ntk, k=4, cut_limit=8,
-                              order=ch.processing_order(), choices=ch.choices_of)
+        db = CutDatabase(ch.ntk, k=4, cut_limit=8,
+                         order=ch.processing_order(), choices=ch.choices_of)
         merged = 0
         for rep in ch.choices_of:
-            merged += sum(1 for c in cuts[rep] if c.root != rep)
+            merged += sum(1 for c in db.cuts(rep) if c.root != rep)
         assert merged > 0
 
     def test_merged_cut_functions_are_repr_functions(self):
         ntk = build("adder", "tiny")
         ch = build_mch(ntk, MchParams(representations=(Xmg,)))
-        cuts = enumerate_cuts(ch.ntk, k=4, cut_limit=8,
-                              order=ch.processing_order(), choices=ch.choices_of)
+        db = CutDatabase(ch.ntk, k=4, cut_limit=8,
+                         order=ch.processing_order(), choices=ch.choices_of)
         mixed = ch.ntk
         import random
         rng = random.Random(3)
@@ -230,7 +230,7 @@ class TestCutMergingAlgorithm3:
         patterns = [rng.getrandbits(width) for _ in range(mixed.num_pis())]
         vals = mixed.simulate_patterns(patterns, mask)
         for rep in list(ch.choices_of)[:20]:
-            for cut in cuts[rep]:
+            for cut in db.cuts(rep):
                 if len(cut.leaves) < 2:
                     continue
                 got = 0
