@@ -75,7 +75,7 @@ def _run_script(args, script) -> FlowResult:
     ctx = FlowContext()
     try:
         result = FlowRunner(ctx).run(ntk, script, name=str(args.circuit))
-    except FlowError as exc:
+    except (FlowError, ValueError) as exc:   # e.g. a pass rejecting "if -l 1"
         raise SystemExit(f"flow failed: {exc}")
     return result
 

@@ -19,7 +19,7 @@ The class enforces the invariants the mapper relies on:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..networks.base import LogicNetwork
 
@@ -36,8 +36,12 @@ class ChoiceNetwork:
         self.choices_of: Dict[int, List[Tuple[int, bool]]] = {}
         #: choice node -> (representative, phase)
         self.repr_of: Dict[int, Tuple[int, bool]] = {}
-        # memoized processing order, keyed by (network version, #choices)
-        self._order_cache: Optional[Tuple[Tuple[int, int], List[int]]] = None
+
+    def __getstate__(self) -> dict:
+        """Pickle without the attached mapping session (and its cut databases)."""
+        state = self.__dict__.copy()
+        state.pop("_mapping_session", None)
+        return state
 
     # ------------------------------------------------------------------ #
 
@@ -93,18 +97,10 @@ class ChoiceNetwork:
         """Topological node order where choice roots precede representatives.
 
         Standard Kahn's algorithm over structural fanin edges plus one extra
-        edge per equivalence link (choice root -> representative).  The order
-        is memoized and recomputed only when the network or the equivalence
-        structure changes; treat the returned list as read-only.
+        edge per equivalence link (choice root -> representative).  Each call
+        recomputes it; :meth:`MappingSession.order
+        <repro.mapping.engine.MappingSession.order>` keeps one per snapshot.
         """
-        key = (self.ntk.version, self.num_choices())
-        if self._order_cache is not None and self._order_cache[0] == key:
-            return self._order_cache[1]
-        order = self._compute_processing_order()
-        self._order_cache = (key, order)
-        return order
-
-    def _compute_processing_order(self) -> List[int]:
         ntk = self.ntk
         n = ntk.num_nodes()
         indeg = [0] * n

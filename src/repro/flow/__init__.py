@@ -8,8 +8,8 @@ if -K 6``); this package makes that the native way to drive the library:
 * :mod:`~repro.flow.passes` — every exported transform wrapped with uniform
   ``run(ntk, ctx) -> ntk`` semantics;
 * :mod:`~repro.flow.context` — :class:`FlowContext`, the shared engines
-  (mapping sessions / cut databases, equivalence sessions, pattern pools,
-  NPN caches, cell library) threaded through a whole flow;
+  (mapping sessions / cut databases, pattern pools, NPN caches, cell
+  library) threaded through a whole flow;
 * :mod:`~repro.flow.script` — the ABC-style DSL: ``"b; rf; rs; gm -k 4"``,
   ``N*( … )`` repetition and ``converge( … )`` keep-best fixpoint groups,
   parsed into serializable :class:`Flow` objects;

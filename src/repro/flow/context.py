@@ -8,8 +8,6 @@ need, created once and shared end-to-end:
 * one :class:`~repro.sim.engine.PatternPool` per PI width, so SAT
   counterexamples recycled by one pass sharpen the simulation filtering of
   every later pass;
-* :class:`~repro.sat.session.EquivalenceSession`\\ s, cached per network
-  snapshot and built over the shared pool;
 * per-target-representation :class:`~repro.synthesis.npn_db.NpnCostCache`\\ s
   for graph mapping;
 * the standard-cell library (lazily ASAP7).
@@ -17,14 +15,13 @@ need, created once and shared end-to-end:
 It also records per-pass :class:`PassMetrics` (wall time plus gate / depth /
 area deltas), optional named checkpoints, and aggregates engine statistics
 for ``--engine-stats`` style reporting.  Pass wrappers must obtain their
-engines from the context — no pass-construction site outside ``flow/``
-builds a ``MappingSession`` or ``EquivalenceSession`` of its own when run
-under a context.
+engines from the context: mapping passes draw their ``MappingSession``
+from it, and every SAT pass is handed the shared pool (``pool=``) so the
+equivalence session it builds recycles counterexamples into it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -129,20 +126,14 @@ METRICS_HEADERS = ["pass", "seconds", "size.in", "size.out", "depth.in", "depth.
 class FlowContext:
     """Shared engine state for one flow run (or many, in batch mode)."""
 
-    #: bound on cached equivalence sessions (one Tseitin encoding each)
-    EQ_SESSION_LIMIT = 8
-
-    def __init__(self, *, library=None, n_patterns: int = 256, seed: int = 1,
-                 keep_checkpoints: bool = False):
+    def __init__(self, *, library=None, n_patterns: int = 256, seed: int = 1):
         self._library = library
         self.n_patterns = n_patterns
         self.seed = seed
-        self.keep_checkpoints = keep_checkpoints
         self.original = None                  # set by the runner per circuit
         self.metrics: List[PassMetrics] = []
         self.checkpoints: Dict[str, Any] = {}
         self._pools: Dict[int, Any] = {}      # n_pis -> PatternPool
-        self._eq_sessions: "OrderedDict[str, Any]" = OrderedDict()
         self._npn_caches: Dict[type, Any] = {}
         self._mapping_subjects: List[Any] = []   # subjects seen (for stats)
 
@@ -179,30 +170,6 @@ class FlowContext:
                 del self._mapping_subjects[0]
         return session
 
-    def equivalence_session(self, ntk):
-        """An :class:`EquivalenceSession` of ``ntk`` over the shared pool.
-
-        Cached per structural hash (:meth:`LogicNetwork.structural_hash` — a
-        version-cached content hash of the network's builder lists), so
-        repeated queries against one network reuse the Tseitin encoding, and
-        structurally identical network *objects* — e.g. a pickled copy sent
-        back by a batch worker — share one session too.  Equal
-        hashes imply identical node numbering, so solver state computed
-        against the cached reference is valid for ``ntk``.
-        """
-        from ..sat.session import EquivalenceSession
-
-        key = ntk.structural_hash()
-        session = self._eq_sessions.get(key)
-        if session is None:
-            session = EquivalenceSession(ntk, pool=self.pool_for(ntk))
-            self._eq_sessions[key] = session
-            while len(self._eq_sessions) > self.EQ_SESSION_LIMIT:
-                self._eq_sessions.popitem(last=False)
-        else:
-            self._eq_sessions.move_to_end(key)
-        return session
-
     def npn_cache(self, target_cls: type):
         """The per-representation synthesis cost oracle for graph mapping."""
         from ..synthesis.npn_db import NpnCostCache
@@ -214,13 +181,11 @@ class FlowContext:
         return cache
 
     def cec(self, a, b, sim_limit: int = EXHAUSTIVE_PIS):
-        """Equivalence-check two states through the shared engines.
+        """Equivalence-check two states over the shared pattern pool.
 
-        When ``a`` is a plain logic network needing a SAT miter (PI count
-        above the exhaustive-simulation limit), its cached
-        :class:`EquivalenceSession` is reused — repeated checks against one
-        reference (``b; cec; rf; cec``) encode the reference once and keep
-        its learned clauses.
+        Sequential states go through :func:`repro.seq.seq_cec`; combinational
+        ones through :func:`repro.sat.cec`, which recycles any SAT
+        counterexample into the pool of ``a``'s PI width.
         """
         from ..sat.cec import cec as run_cec
 
@@ -233,16 +198,7 @@ class FlowContext:
             return seq_cec(na, nb)
         if na.num_pis() != nb.num_pis():
             return run_cec(na, nb)
-        if na is not a or na.num_pis() <= sim_limit:
-            # converted view (fresh object, would only pollute the cache)
-            # or exhaustive-simulation territory: no session needed
-            return run_cec(na, nb, sim_limit=sim_limit, pool=self.pool_for(na))
-        session = self.equivalence_session(na)
-        if len(session.networks) > self.EQ_SESSION_LIMIT:
-            # the reference has been checked against many distinct networks
-            # already — cap the shared encoding's growth, miter standalone
-            return run_cec(na, nb, sim_limit=sim_limit, pool=self.pool_for(na))
-        return run_cec(na, nb, sim_limit=sim_limit, session=session)
+        return run_cec(na, nb, sim_limit=sim_limit, pool=self.pool_for(na))
 
     @staticmethod
     def as_logic(state):
@@ -286,7 +242,6 @@ class FlowContext:
             "passes": len(self.metrics),
             "seconds": round(self.total_seconds(), 6),
             "pools": {n: p.n_patterns for n, p in self._pools.items()},
-            "equivalence_sessions": [s.stats() for s in self._eq_sessions.values()],
             "mapping_sessions": [s.stats() for s in self._mapping_subjects],
             "library_models": ([library_cost_model(self._library).stats()]
                                if self._library is not None else []),
@@ -298,5 +253,4 @@ class FlowContext:
 
     def __repr__(self) -> str:
         return (f"<FlowContext passes={len(self.metrics)} "
-                f"pools={list(self._pools)} "
-                f"eq_sessions={len(self._eq_sessions)}>")
+                f"pools={list(self._pools)}>")

@@ -1,8 +1,8 @@
 """Registered passes: every exported transform under uniform semantics.
 
 Each wrapper is ``fn(state, ctx, **kwargs) -> state`` and draws its shared
-machinery (mapping sessions, pattern pools, equivalence sessions, NPN cost
-caches, the cell library) from the :class:`~repro.flow.context.FlowContext`
+machinery (mapping sessions, pattern pools, NPN cost caches, the cell
+library) from the :class:`~repro.flow.context.FlowContext`
 instead of constructing its own.  Canonical names follow the ABC mnemonics
 the paper's protocol scripts use (``b``, ``rf``, ``rs``, ``if`` …).
 
@@ -90,7 +90,7 @@ def _resub(ntk, ctx: FlowContext, max_divisors=150, conflict_limit=1000,
     from ..opt.resub import resub
 
     return resub(ntk, max_divisors=max_divisors, conflict_limit=conflict_limit,
-                 max_checks=max_checks, session=ctx.equivalence_session(ntk))
+                 max_checks=max_checks, pool=ctx.pool_for(ntk))
 
 
 def _maj_classes():

@@ -109,15 +109,11 @@ class LogicNetwork:
         self._ri_lits: List[int] = []
         self._ro_init: List[int] = []
         self._strash: Dict[Tuple[GateType, Tuple[int, ...]], int] = {}
-        #: bumped on every structural mutation; analysis caches key off it
+        #: bumped on every structural mutation; mapping sessions key off it
         self._version: int = 0
-        self._fanout_cache: Optional[Tuple[int, List[List[int]]]] = None
-        self._fanout_count_cache: Optional[Tuple[int, List[int]]] = None
-        self._topo_cache: Optional[Tuple[int, List[int]]] = None
-        self._hash_cache: Optional[Tuple[int, str]] = None
 
     # ------------------------------------------------------------------ #
-    # cache maintenance                                                   #
+    # versioning, hashing, pickling                                       #
     # ------------------------------------------------------------------ #
 
     @property
@@ -129,21 +125,17 @@ class LogicNetwork:
         self._version += 1
 
     def structural_hash(self) -> str:
-        """Content hash of the DAG (16 hex chars), cached per version.
+        """Content hash of the DAG (16 hex chars), computed on each call.
 
         Covers representation, gate kinds, fanin literals (three per node,
         zero-padded), CI order, PO literals and the register lists (RO/RI
         pairing and init values) — everything that determines the DAG —
         but not names or the derived levels.  Networks with equal hashes
         are structurally identical — same node numbering, gates and POs —
-        so caches keyed on this hash (e.g. the flow context's equivalence
-        sessions) can serve rebuilt-but-identical networks without
-        re-encoding.  Integers are hashed as native 8-byte words, so
-        digests are stable within one byte order.
+        which is how tests and fingerprints pin a flow's result.  Integers
+        are hashed as native 8-byte words, so digests are stable within one
+        byte order.
         """
-        cached = self._hash_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
         fanin3 = []
         for fis in self._fanins:
             k = len(fis)
@@ -164,17 +156,12 @@ class LogicNetwork:
         m.update(array("q", self._ro_nodes).tobytes())
         m.update(array("q", self._ri_lits).tobytes())
         m.update(bytes(self._ro_init))
-        digest = m.hexdigest()[:16]
-        self._hash_cache = (self._version, digest)
-        return digest
+        return m.hexdigest()[:16]
 
     def __getstate__(self) -> dict:
-        """Pickle without derived caches (they rebuild lazily on demand)."""
+        """Pickle without the attached mapping session (and its cut databases)."""
         state = self.__dict__.copy()
-        state["_fanout_cache"] = None
-        state["_fanout_count_cache"] = None
-        state["_topo_cache"] = None
-        state["_hash_cache"] = None
+        state.pop("_mapping_session", None)
         return state
 
     # ------------------------------------------------------------------ #
@@ -526,51 +513,29 @@ class LogicNetwork:
         return max((self._levels[p >> 1] for p in self._pos), default=0)
 
     def fanout_counts(self) -> List[int]:
-        """Per-node consumer counts (gate fanins + PO references).
-
-        The list is memoized until the next structural mutation; callers must
-        treat it as read-only (copy before decrementing, as :meth:`mffc` does).
-        """
-        cached = self._fanout_count_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
+        """Per-node consumer counts (gate fanins + PO references), a fresh list."""
         cnt = [0] * len(self._types)
         for n in range(len(self._types)):
             for f in self._fanins[n]:
                 cnt[f >> 1] += 1
         for p in self._pos:
             cnt[p >> 1] += 1
-        self._fanout_count_cache = (self._version, cnt)
         return cnt
 
     def fanouts(self) -> List[List[int]]:
-        """Fanout adjacency (gate consumers only, not POs).
-
-        Memoized until the next structural mutation; treat as read-only.
-        """
-        cached = self._fanout_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
+        """Fanout adjacency (gate consumers only, not POs), a fresh list."""
         out: List[List[int]] = [[] for _ in self._types]
         for n in range(len(self._types)):
             for f in self._fanins[n]:
                 out[f >> 1].append(n)
-        self._fanout_cache = (self._version, out)
         return out
 
     def topological_order(self) -> List[int]:
         """All node indices in topological order.
 
-        Nodes are created fanins-first, so this is simply ``0..num_nodes-1``;
-        the list is memoized so hot loops can reuse one object.  Treat as
-        read-only.
+        Nodes are created fanins-first, so this is simply ``0..num_nodes-1``.
         """
-        cached = self._topo_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        order = list(range(len(self._types)))
-        self._topo_cache = (self._version, order)
-        return order
+        return list(range(len(self._types)))
 
     def tfi(self, node: int) -> set:
         """Transitive fanin cone of a node, including the node itself."""
@@ -602,8 +567,9 @@ class LogicNetwork:
         """Maximum fanout-free cone of ``node`` (gate nodes only)."""
         if not self.is_gate(node):
             return set()
-        # always copy: self.fanout_counts() is memoized and must stay intact
-        cnt = list(fanout_counts if fanout_counts is not None else self.fanout_counts())
+        # copy a caller's counts: they are reused across calls
+        cnt = (list(fanout_counts) if fanout_counts is not None
+               else self.fanout_counts())
         cone = {node}
         stack = [node]
         while stack:

@@ -27,7 +27,7 @@ guarantees acyclicity and lets the network be rebuilt in one sweep.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..networks.base import GateType, LogicNetwork, require_combinational
 from ..sat.session import EquivalenceSession
@@ -85,7 +85,7 @@ def _candidates(groups: List[List[_Literal]], target: int,
 def resub(ntk: LogicNetwork, width: int = 256, seed: int = 17,
           max_divisors: int = 150, conflict_limit: int = 1000,
           max_checks: int = 2000,
-          session: "EquivalenceSession" = None) -> LogicNetwork:
+          pool: Optional[PatternPool] = None) -> LogicNetwork:
     """One pass of SAT-validated 1-resubstitution; returns a rebuilt network.
 
     Only AND-family nodes are targeted (the pass is a no-op on pure
@@ -93,20 +93,16 @@ def resub(ntk: LogicNetwork, width: int = 256, seed: int = 17,
     ``max_checks`` bounds the total number of candidate checks: every
     candidate that passes a node's initial signature filter counts, whether
     a recycled counterexample or the SAT solver refutes it.  A
-    caller-supplied ``session`` (e.g. from a
-    :class:`~repro.flow.context.FlowContext`) must encode ``ntk``; its
-    pattern pool — including counterexamples recycled by earlier passes —
-    then drives the signature filtering here.
+    caller-supplied ``pool`` (e.g. the shared pool of a
+    :class:`~repro.flow.context.FlowContext`) replaces the fresh
+    ``width``-pattern one: its patterns — including counterexamples
+    recycled by earlier passes — drive the signature filtering here, and
+    this pass's counterexamples are recycled into it.
     """
     require_combinational(ntk, "resub")
-    if session is None:
+    if pool is None:
         pool = PatternPool(ntk.num_pis(), n_patterns=width, seed=seed)
-        session = EquivalenceSession(ntk, pool=pool)
-    else:
-        ref = session.networks[0]
-        if ref is not ntk and ref.structural_hash() != ntk.structural_hash():
-            raise ValueError("injected session must encode the resub subject")
-        pool = session.pool
+    session = EquivalenceSession(ntk, pool=pool)
     engine = session.engine(0)
     levels = ntk.levels()
     fanout = ntk.fanout_counts()

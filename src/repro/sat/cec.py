@@ -127,8 +127,7 @@ def find_counterexample(a: LogicNetwork, b: LogicNetwork, rounds: int = 64,
 
 
 def cec(a: LogicNetwork, b: LogicNetwork, sim_limit: int = EXHAUSTIVE_PIS,
-        sim_rounds: int = 16, pool: Optional[PatternPool] = None,
-        session: Optional[EquivalenceSession] = None) -> CecResult:
+        sim_rounds: int = 16, pool: Optional[PatternPool] = None) -> CecResult:
     """Check combinational equivalence of two networks (PO-by-PO, in order).
 
     Networks of at most ``sim_limit`` PIs (default :data:`EXHAUSTIVE_PIS`)
@@ -137,11 +136,9 @@ def cec(a: LogicNetwork, b: LogicNetwork, sim_limit: int = EXHAUSTIVE_PIS,
     every PI, so with a ``sim_limit`` above :data:`EXHAUSTIVE_PIS`, networks
     wider than that ceiling still raise ``ValueError``.
 
-    A caller-supplied ``session`` (one that already Tseitin-encodes ``a`` as
-    its first network, e.g. the cached session of a
-    :class:`~repro.flow.context.FlowContext`) is reused: only ``b`` is
-    encoded, over the shared PI variables, and clauses learned by earlier
-    checks against the same reference carry over.
+    A caller-supplied ``pool`` (e.g. the shared pool of a
+    :class:`~repro.flow.context.FlowContext`) drives the random-simulation
+    phase, and any SAT counterexample is recycled into it.
     """
     require_combinational(a, "cec")
     require_combinational(b, "cec")
@@ -153,24 +150,14 @@ def cec(a: LogicNetwork, b: LogicNetwork, sim_limit: int = EXHAUSTIVE_PIS,
             return CecResult(False, cex, "exhaustive simulation")
         return CecResult(True, method="exhaustive simulation")
 
-    if session is not None:
-        ref = session.networks[0]
-        if ref is not a and ref.structural_hash() != a.structural_hash():
-            raise ValueError("injected session must encode the reference network")
-        pool = session.pool
-    elif pool is None:
+    if pool is None:
         pool = PatternPool(a.num_pis(), n_patterns=sim_rounds * 64, seed=1)
     cex = _sim_counterexample(SimEngine(a, pool), SimEngine(b, pool), pool)
     if cex is not None:
         return CecResult(False, cex, "random simulation")
 
-    if session is None:
-        session = EquivalenceSession(a, pool=pool)
-    hb = b.structural_hash()
-    ib = next((i for i, n in enumerate(session.networks)
-               if n is b or n.structural_hash() == hb), None)
-    if ib is None:   # not already encoded (e.g. a cec pass then --verify)
-        ib = session.add_network(b)
+    session = EquivalenceSession(a, pool=pool)
+    ib = session.add_network(b)
 
     # SAT miter over shared PIs, one incremental query per PO pair
     po_a = session.output_literals(0)

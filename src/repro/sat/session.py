@@ -60,10 +60,6 @@ class EquivalenceSession:
         self._po_lits: List[List[int]] = []
         self._cex: Optional[List[bool]] = None
         self._const_var: Optional[int] = None
-        self.queries = 0
-        self.proved = 0
-        self.refuted = 0
-        self.timeouts = 0
         if ntk is not None:
             self.add_network(ntk)
 
@@ -198,7 +194,6 @@ class EquivalenceSession:
         queries.
         """
         solver = self._solver
-        self.queries += 1
         s = self._new_var()
         # under s: sl_a != sl_b
         solver.add_clause([-s, sl_a, sl_b])
@@ -207,12 +202,9 @@ class EquivalenceSession:
                            conflict_limit=conflict_limit)
         solver.add_clause([-s])  # retire the selector
         if res is None:
-            self.timeouts += 1
             return None
         if res == UNSAT:
-            self.proved += 1
             return True
-        self.refuted += 1
         if self.pi_vars:
             cex = [solver.model_value(self.pi_vars[i])
                    for i in range(len(self.pi_vars))]
@@ -232,13 +224,3 @@ class EquivalenceSession:
     def last_counterexample(self) -> Optional[List[bool]]:
         """PI assignment of the most recent refuted query."""
         return self._cex
-
-    def stats(self) -> dict:
-        return {
-            "queries": self.queries,
-            "proved": self.proved,
-            "refuted": self.refuted,
-            "timeouts": self.timeouts,
-            "patterns": self.pool.n_patterns,
-            "solver_vars": self._solver.num_vars,
-        }

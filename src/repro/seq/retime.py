@@ -46,7 +46,7 @@ def retime_forward(ntk: LogicNetwork) -> Tuple[LogicNetwork, int]:
     ro_of = {n: i for i, (n, _, _) in enumerate(regs)}
     # consumer counts including next-state references (fanout_counts only
     # covers gate fanins and POs)
-    counts = list(ntk.fanout_counts())
+    counts = ntk.fanout_counts()
     for _, ri, _ in regs:
         counts[ri >> 1] += 1
     moved: List[int] = []

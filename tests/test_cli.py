@@ -122,6 +122,13 @@ class TestRunCommand:
         with pytest.raises(SystemExit, match="unknown pass"):
             main(["run", "adder", "--scale", "tiny", "--script", "warp 9"])
 
+    def test_run_rejected_pass_parameter_exits_with_message(self, capsys):
+        # the pass accepts the int but its engine rejects the value
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "adder", "--scale", "tiny", "--script", "if -l 1"])
+        assert str(exc.value).startswith("flow failed:")
+        assert "cut_limit" in str(exc.value)
+
     def test_run_engine_stats(self, capsys):
         assert main(["run", "ctrl", "--scale", "tiny",
                      "--script", "b; gm", "--engine-stats"]) == 0

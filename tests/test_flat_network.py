@@ -10,11 +10,10 @@ these tests pin what those readers produce:
   randomized networks of every representation (including constant-driven
   and dangling POs);
 * ``structural_hash`` keys content: equal for structurally identical
-  networks in different objects, cached per structural version, different
-  after any structural change, and pinned to recorded digests;
+  networks in different objects, different after any structural change,
+  and pinned to recorded digests;
 * Tseitin encodings and one-shot simulation words are pinned to recorded
-  digests, and :class:`FlowContext` shares one equivalence session between
-  hash-equal network objects.
+  digests.
 """
 
 import hashlib
@@ -27,9 +26,9 @@ from hypothesis import strategies as st
 
 from repro.batch import get_suite, state_fingerprint
 from repro.circuits import ALL_BENCHMARKS, build
-from repro.flow import FlowContext
+from repro.core import ChoiceNetwork
+from repro.mapping import MappingSession
 from repro.networks import Aig, Mig, MixedNetwork, Xag, Xmg, convert
-from repro.sat import cec
 from repro.sat.cnf import CnfBuilder
 from repro.sim import simulate_words
 
@@ -111,9 +110,20 @@ class TestRoundTrip:
         digest = ntk.structural_hash()
         back = pickled(ntk)
         assert type(back) is cls
-        assert back._hash_cache is None           # caches are not pickled
         assert back.structural_hash() == digest
         assert_graph_identical(ntk, back)
+
+    def test_pickle_drops_mapping_session(self):
+        # a mapped subject carries its MappingSession (and every cut
+        # database in it); a pickled result must not ship that along
+        ntk = build("ctrl", "tiny")
+        session = MappingSession.of(ntk)
+        session.cut_database(4, 8)
+        choice = ChoiceNetwork(ntk)
+        MappingSession.of(choice)
+        assert not hasattr(pickled(ntk), "_mapping_session")
+        assert not hasattr(pickled(choice), "_mapping_session")
+        assert MappingSession.of(ntk) is session, "the original keeps it"
 
 
 #: recorded ``structural_hash`` digests: any change to the hashed bytes or
@@ -163,15 +173,6 @@ class TestStructuralHash:
         before = ntk.structural_hash()
         ntk.create_po(ntk.create_and(2, 5))
         assert ntk.structural_hash() != before
-
-    def test_hash_cached_per_version(self):
-        ntk = random_network(Aig, 11)
-        digest = ntk.structural_hash()
-        assert ntk._hash_cache == (ntk.version, digest)
-        assert ntk.structural_hash() is digest    # unchanged -> cached
-        ntk.create_po(ntk.create_and(2, 4))
-        assert ntk.structural_hash() != digest    # mutation invalidates
-        assert ntk._hash_cache[0] == ntk.version
 
     def test_rep_distinguishes_hashes(self):
         # same PI-only structure, different representation class
@@ -239,30 +240,3 @@ class TestReaderDigests:
         make = PINNED_READERS["random-MixedNetwork"][0]
         assert {int(t) for t in make()._types} == {0, 1, 2, 3, 4, 5}
 
-
-class TestFlatConsumers:
-    def test_context_shares_session_between_hash_equal_objects(self):
-        ctx = FlowContext()
-        ntk = build("int2float", "tiny")
-        twin = pickled(ntk)               # same structure, different object
-        s1 = ctx.equivalence_session(ntk)
-        s2 = ctx.equivalence_session(twin)
-        assert s1 is s2
-
-    def test_cec_accepts_hash_equal_session_reference(self):
-        ntk = build("router", "tiny")
-        twin = pickled(ntk)
-        ctx = FlowContext()
-        session = ctx.equivalence_session(ntk)
-        # sim_limit=0 forces the SAT path through the injected session even
-        # though the circuit is small; the hash-equal twin must be accepted
-        res = cec(twin, ntk, sim_limit=0, session=session)
-        assert res.equivalent
-
-    def test_cec_rejects_foreign_session_reference(self):
-        ntk = build("router", "tiny")
-        other = build("ctrl", "tiny")
-        ctx = FlowContext()
-        session = ctx.equivalence_session(other)
-        with pytest.raises(ValueError):
-            cec(ntk, pickled(ntk), sim_limit=0, session=session)

@@ -95,20 +95,21 @@ class TestAnalysisCaches:
         ntk, root = self._sample()
         counts = ntk.fanout_counts()
         fo = ntk.fanouts()
-        assert ntk.fanout_counts() is counts  # memoized
-        assert ntk.fanouts() is fo
+        assert ntk.fanout_counts() == counts  # stable while unchanged
+        assert ntk.fanouts() == fo
         a = ntk.pis[0] << 1
         ntk.create_po(a)
-        assert ntk.fanout_counts() is not counts
         assert ntk.fanout_counts()[a >> 1] == counts[a >> 1] + 1
+        g = ntk.create_and(a, lit_not(ntk.pis[3] << 1))
+        assert ntk.fanouts()[a >> 1] == fo[a >> 1] + [g >> 1]
 
     def test_topological_order_memoized(self):
         ntk, _ = self._sample()
         order = ntk.topological_order()
         assert order == list(range(ntk.num_nodes()))
-        assert ntk.topological_order() is order
+        assert ntk.topological_order() == order
         ntk.create_pi()
-        assert len(ntk.topological_order()) == ntk.num_nodes()
+        assert ntk.topological_order() == list(range(ntk.num_nodes()))
 
 
 class TestCreateGate:
