@@ -22,7 +22,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.networks.base import GateType, LogicNetwork
 from repro.truth.truth_table import TruthTable
-from repro.cuts.cut import Cut
 
 __all__ = [
     "baseline_enumerate_cuts",
@@ -34,6 +33,24 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # seed cut enumeration (object cuts, eager truth tables)                 #
 # --------------------------------------------------------------------- #
+
+class Cut:
+    """The seed's cut object: a leaf tuple, the root's function over the
+    leaves, the root node and its phase."""
+
+    __slots__ = ("leaves", "tt", "root", "phase")
+
+    def __init__(self, leaves: Tuple[int, ...], tt: TruthTable, root: int,
+                 phase: bool = False):
+        self.leaves = leaves
+        self.tt = tt
+        self.root = root
+        self.phase = phase
+
+    def dominates(self, other: "Cut") -> bool:
+        """True if this cut's leaves are a subset of the other's."""
+        return set(self.leaves) <= set(other.leaves)
+
 
 # cache: (positions, num_vars) -> minterm index map
 _INDEX_MAPS: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}

@@ -54,10 +54,18 @@ def largest_circuit(scale: str):
     return best_name, best_ntk
 
 
-def _cut_signature(cut_lists):
-    """Exact content of a cut set: leaves, truth table, root, phase per cut."""
+def _baseline_signature(cut_lists):
+    """Exact content of the baseline's cut sets: leaves, truth table, root,
+    phase per cut."""
     return [[(c.leaves, c.tt.num_vars, c.tt.bits, c.root, c.phase) for c in cl]
             for cl in cut_lists]
+
+
+def _database_signature(db: CutDatabase):
+    """The same content read by index from the database's columns."""
+    return [[(db.leaves[i], db.tt_vars[i], db.function(i), db.root[i], db.phase[i])
+             for i in db.cuts(n)]
+            for n in range(len(db.spans))]
 
 
 def build_all_functions(ntk) -> CutDatabase:
@@ -79,8 +87,7 @@ def measure(scale: str = SCALE) -> dict:
     baseline_cuts = baseline_enumerate_cuts(ntk, K, CUT_LIMIT)
     t_base = time.perf_counter() - t0
 
-    per_node = [db.cuts(n) for n in range(len(db.spans))]
-    identical = _cut_signature(per_node) == _cut_signature(baseline_cuts)
+    identical = _database_signature(db) == _baseline_signature(baseline_cuts)
 
     session = MappingSession(ntk)
     t0 = time.perf_counter()

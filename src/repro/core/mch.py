@@ -31,6 +31,7 @@ from ..cuts.database import CutDatabase
 from ..networks.base import GateType, LogicNetwork, require_combinational
 from ..networks.mixed import MixedNetwork
 from ..synthesis.strategies import StrategyLibrary, synthesize_candidates
+from ..truth.truth_table import TruthTable
 from .choice import ChoiceNetwork
 from .critical import critical_nodes
 
@@ -109,17 +110,19 @@ def build_mch(ntk: LogicNetwork, params: Optional[MchParams] = None) -> ChoiceNe
 
 
 def _node_cut_functions(mixed: MixedNetwork, cuts: CutDatabase, node: int, params: MchParams):
-    """(tt, leaf literals) pairs for the node's most useful cuts."""
+    """(tt, leaf literals) pairs for the node's most useful cuts.
+
+    Only the cuts taken here have their functions evaluated.
+    """
     out = []
-    taken = 0
-    for cut in cuts.cuts(node):
-        if len(cut.leaves) < params.min_cut_size:
-            continue
-        if taken >= params.max_cuts_per_node:
+    for i in cuts.cuts(node):
+        if len(out) >= params.max_cuts_per_node:
             break
-        taken += 1
-        leaf_lits = [leaf << 1 for leaf in cut.leaves]
-        out.append((cut.tt, leaf_lits))
+        leaves = cuts.leaves[i]
+        if len(leaves) < params.min_cut_size:
+            continue
+        tt = TruthTable(cuts.tt_vars[i], cuts.function(i))
+        out.append((tt, [leaf << 1 for leaf in leaves]))
     return out
 
 

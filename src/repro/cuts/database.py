@@ -24,10 +24,9 @@ mask-driven:
   and the database's memory stays proportional to the number of *distinct*
   leaf sets.
 
-The mappers read the flat arrays directly.  :meth:`CutDatabase.cuts` (one
-node's span) and :meth:`CutDatabase.cut` (one record) wrap records as
-:class:`Cut` objects for the consumers that want them: MCH candidate
-generation and the final selection of a cover.
+A cut is an index into these arrays, and every consumer reads the columns
+by index: ``leaves[i]``, ``tt_vars[i]``, ``function(i)``, ``root[i]`` and
+``phase[i]``.  :meth:`CutDatabase.cuts` gives one node's index range.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..networks.base import GateType
-from ..truth.truth_table import TruthTable
-from .cut import Cut
 from .enumeration import _expand_bits
 
 __all__ = ["CutDatabase"]
@@ -74,8 +71,12 @@ class CutDatabase:
 
     ``spans[node] == (start, end)`` indexes the node's cut records inside the
     flat arrays; the trivial cut of a gate node is always the last record of
-    its span.  :meth:`cuts` builds the node's records as new :class:`Cut`
-    objects for consumers that want the object view.
+    its span.  A cut is its index ``i``: ``leaves[i]`` is the sorted leaf
+    tuple, ``function(i)`` the raw bits of the root's function over those
+    leaves (leaf ``leaves[i][v]`` is variable ``v`` of a ``tt_vars[i]``-input
+    truth table), ``root[i]`` the node the cut belongs to and ``phase[i]``
+    whether that root is the complement of the span's node (an absorbed
+    choice cut, Algorithm 3).
 
     Cut functions are computed on demand: :meth:`function` evaluates one
     cut (and whatever it derives from), :attr:`tt_bits` all of them.
@@ -399,15 +400,9 @@ class CutDatabase:
     def num_cuts(self) -> int:
         return len(self.leaves)
 
-    def cuts(self, node: int) -> List[Cut]:
-        """The node's cut records as new :class:`Cut` objects, in span order."""
-        start, end = self.spans[node]
-        return [self.cut(i) for i in range(start, end)]
-
-    def cut(self, i: int) -> Cut:
-        """Cut record ``i`` as a new :class:`Cut` object."""
-        return Cut(self.leaves[i], TruthTable(self.tt_vars[i], self.function(i)),
-                   self.root[i], self.phase[i])
+    def cuts(self, node: int) -> range:
+        """The indices of the node's cuts, in span order."""
+        return range(*self.spans[node])
 
     def __repr__(self) -> str:
         return (f"<CutDatabase nodes={self.stats['nodes']} cuts={self.num_cuts()} "

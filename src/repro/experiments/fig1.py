@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Type
 
 from ..circuits import build
-from ..mapping import asic_map, graph_map
+from ..mapping import MappingSession, asic_map, graph_map
 from ..networks import Aig, LogicNetwork, Mig, Xag, Xmg
 from ..flow import optimize
 from .common import batch_map, format_table
@@ -42,8 +42,9 @@ def _rep_task(task, ctx):
     """Convert-and-map one representation (sharded by ``run_fig1``)."""
     rep_name, ntk = task
     converted = graph_map(ntk, REPRESENTATIONS[rep_name], objective="area")
-    nl_d = asic_map(converted, objective="delay")
-    nl_a = asic_map(converted, objective="area")
+    session = MappingSession.of(converted)  # both objectives share its cuts
+    nl_d = asic_map(session, objective="delay")
+    nl_a = asic_map(session, objective="area")
     return rep_name, Fig1Row(
         rep=rep_name,
         gates=converted.num_gates(),

@@ -100,14 +100,6 @@ class PassMetrics:
     kind_before: str = "logic"
     kind_after: str = "logic"
 
-    @property
-    def size_delta(self) -> float:
-        return self.after[0] - self.before[0]
-
-    @property
-    def depth_delta(self) -> float:
-        return self.after[1] - self.before[1]
-
     def row(self) -> List:
         """Table row: pass, seconds, size before/after, depth before/after."""
         fmt = lambda v: int(v) if float(v).is_integer() else round(v, 2)
@@ -160,7 +152,8 @@ class FlowContext:
         return pool
 
     def mapping_session(self, subject):
-        """The :class:`MappingSession` of ``subject`` (cached on the subject)."""
+        """The :class:`MappingSession` of ``subject``; the context holds the
+        last 16, so later passes on the same subject share them."""
         from ..mapping.engine import MappingSession
 
         session = MappingSession.of(subject)

@@ -18,6 +18,7 @@ it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -76,11 +77,16 @@ class ArgSpec:
             if self.type is int:
                 return int(raw)
             if self.type is float:
-                return float(raw)
+                value = float(raw)
+                # a NaN threshold compares false against everything
+                if not math.isfinite(value):
+                    raise ValueError(raw)
+                return value
             return str(raw)
         except ValueError:
+            kind = "finite float" if self.type is float else self.type.__name__
             raise FlowScriptError(
-                f"argument -{self.flag} expects {self.type.__name__}, got {raw!r}"
+                f"argument -{self.flag} expects {kind}, got {raw!r}"
             ) from None
 
     def format(self, value: Any) -> str:

@@ -12,10 +12,9 @@ Delay model: fixed per-pin cell delays in ps, load-independent (see
 ``asap7.py``).  Objectives: ``'delay'`` minimizes arrival then recovers area
 under required times; ``'area'`` minimizes area flow directly.
 
-Cuts are read straight from the flat arrays of the shared
+Cuts are read by index straight from the flat arrays of the shared
 :class:`~repro.mapping.engine.MappingSession` cut database (each node's span
-of leaf tuples and raw functions; no :class:`~repro.cuts.cut.Cut` object is
-built), and Boolean matching runs through
+of leaf tuples and raw functions), and Boolean matching runs through
 :class:`~repro.mapping.engine.LibraryCostModel`, which memoizes the match rows
 of every distinct cut function: each row is a cell plus its pins indexed into
 the cut's full leaf tuple, so every covering pass selects straight from the

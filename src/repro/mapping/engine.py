@@ -6,8 +6,9 @@ This module is the common substrate of all three cut-based mappers:
   processing order, the PO-reachable node set, initial fanout reference
   estimates and one flat :class:`~repro.cuts.database.CutDatabase` per
   ``(k, cut_limit)`` — computed once and shared by every mapper pass and
-  consumer.  Sessions are cached on the subject network and invalidated
-  automatically when the network (or its choice structure) mutates.
+  consumer.  Sessions are cached (weakly) on the subject network and
+  invalidated automatically when the network (or its choice structure)
+  mutates.
 * The :class:`CostModel` protocol is the unified cost layer: the K-LUT
   mapper uses :class:`UnitCostModel` (one LUT per cut), graph mapping uses
   :class:`NpnCostModel` (estimated target-representation gate count), and
@@ -24,12 +25,12 @@ This module is the common substrate of all three cut-based mappers:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.choice import ChoiceNetwork
-from ..cuts.cut import Cut
 from ..cuts.database import CutDatabase
 from ..networks.base import LogicNetwork, require_combinational
 from ..synthesis.npn_db import NpnCostCache
@@ -91,16 +92,22 @@ class MappingSession:
 
         Sessions attach themselves to the subject object, so mapping the
         same network (or choice network) repeatedly — e.g. a delay- and an
-        area-oriented run in one experiment — shares one cut database.
+        area-oriented run in one experiment — shares one cut database while
+        a caller or a :class:`~repro.flow.context.FlowContext` holds the
+        session.  The subject refers to its session weakly: the session
+        refers to the subject, and a strong reference back would form a
+        cycle that keeps the cut databases of every mapped intermediate
+        network alive until the cyclic garbage collector runs.
         """
         if isinstance(subject, MappingSession):
             return subject
-        cached = getattr(subject, "_mapping_session", None)
+        ref = getattr(subject, "_mapping_session", None)
+        cached = ref() if ref is not None else None
         if cached is not None and cached.is_current():
             return cached
         session = cls(subject)
         try:
-            subject._mapping_session = session
+            subject._mapping_session = weakref.ref(session)
         except AttributeError:
             pass  # subjects with __slots__ simply don't cache
         return session
@@ -195,22 +202,15 @@ class MappingSession:
 class CostModel:
     """Protocol of the unified cut cost layer.
 
-    ``cut_cost`` is the area charged for selecting a cut; ``cut_delay`` the
-    delay through it.  :meth:`costs` answers both for cut ``i`` of a
-    :class:`CutDatabase`, the form :func:`run_cover` reads once per usable
-    cut; a model that needs no cut function must not read one there, so the
-    database never evaluates it.  Implementations may memoize on the cut
-    function.
+    :meth:`costs` answers, for cut ``i`` of a :class:`CutDatabase`, the area
+    charged for selecting the cut and the delay through it; :func:`run_cover`
+    reads it once per usable cut.  A model that needs no cut function must
+    not read one there, so the database never evaluates it.
+    Implementations may memoize on the cut function.
     """
 
     def costs(self, db: CutDatabase, i: int) -> Tuple[float, float]:
-        """``(cut_cost, cut_delay)`` of cut ``i`` of ``db``."""
-        raise NotImplementedError
-
-    def cut_cost(self, cut: Cut) -> float:
-        raise NotImplementedError
-
-    def cut_delay(self, cut: Cut) -> float:
+        """``(area, delay)`` of cut ``i`` of ``db``."""
         raise NotImplementedError
 
 
@@ -219,12 +219,6 @@ class UnitCostModel(CostModel):
 
     def costs(self, db: CutDatabase, i: int) -> Tuple[float, float]:
         return 1.0, 1
-
-    def cut_cost(self, cut: Cut) -> float:
-        return 1.0
-
-    def cut_delay(self, cut: Cut) -> float:
-        return 1
 
 
 class NpnCostModel(CostModel):
@@ -243,33 +237,23 @@ class NpnCostModel(CostModel):
         self.synth_objective = "area" if objective == "area" else "level"
         self._memo: Dict[Tuple[int, int], Tuple[str, int, int, bool]] = {}
 
-    def best(self, tt: TruthTable) -> Tuple[str, int, int, bool]:
-        """(method, gates, depth, has_support) for a cut function."""
-        key = (tt.num_vars, tt.bits)
+    def best(self, num_vars: int, bits: int) -> Tuple[str, int, int, bool]:
+        """(method, gates, depth, has_support) for the cut function
+        ``TruthTable(num_vars, bits)``."""
+        key = (num_vars, bits)
         got = self._memo.get(key)
         if got is None:
+            tt = TruthTable(num_vars, bits)
             method, gates, depth = self.cache.best_method(tt, self.synth_objective)
-            got = (method, gates, depth, 0 < tt.bits < tt.mask)
+            got = (method, gates, depth, 0 < bits < tt.mask)
             self._memo[key] = got
         return got
 
     def costs(self, db: CutDatabase, i: int) -> Tuple[float, float]:
         if len(db.leaves[i]) <= 1:
             return 0.0, 0
-        key = (db.tt_vars[i], db.function(i))
-        _, gates, depth, has_support = self._memo.get(key) or self.best(TruthTable(*key))
+        _, gates, depth, has_support = self.best(db.tt_vars[i], db.function(i))
         return float(gates), (max(depth, 1) if has_support else 0)
-
-    def cut_cost(self, cut: Cut) -> float:
-        if len(cut.leaves) <= 1:
-            return 0.0
-        return float(self.best(cut.tt)[1])
-
-    def cut_delay(self, cut: Cut) -> float:
-        if len(cut.leaves) <= 1:
-            return 0
-        _, _, depth, has_support = self.best(cut.tt)
-        return max(depth, 1) if has_support else 0
 
 
 class LibraryCostModel:
@@ -354,17 +338,17 @@ def library_cost_model(library) -> LibraryCostModel:
 
 @dataclass
 class MappingCover:
-    """Result of the covering phase: which cut realizes which node."""
+    """Result of the covering phase: which cut realizes which node.
+
+    ``selection`` maps each covered node to the index of its cut in ``db``;
+    the cut's leaves and function are read from the database's columns.
+    """
 
     ntk: LogicNetwork
-    selection: Dict[int, Cut]          # covered node -> selected cut
+    db: CutDatabase
+    selection: Dict[int, int]          # covered node -> selected cut index
     order: List[int]                   # covered nodes in topological order
-    depth: int
     area: float
-    po_literals: List[int]
-    po_names: List[str]
-    pi_names: List[str]
-    pi_nodes: List[int]
 
 
 def run_cover(session: MappingSession, cost_model: CostModel, *,
@@ -389,8 +373,8 @@ class _CoverPipeline:
     """The cover on flat cut indices: ``best[m]`` is the index of node
     ``m``'s selected cut in the session's :class:`CutDatabase`, and every
     pass reads leaves from ``db.leaves`` and costs from the per-cut columns
-    filled once by the cost model.  :class:`Cut` objects are built only for
-    the final selection."""
+    filled once by the cost model.  The cover it returns selects by the same
+    indices."""
 
     def __init__(self, session, cost_model, k, cut_limit, objective,
                  flow_iterations, exact_iterations):
@@ -579,7 +563,6 @@ class _CoverPipeline:
 
     def _derive_cover(self, best: List[int]) -> MappingCover:
         ntk = self.ntk
-        db = self.db
         leaves_of = self.leaves
         chosen: Dict[int, int] = {}
         stack = [p >> 1 for p in ntk.pos if ntk.is_gate(p >> 1)]
@@ -593,22 +576,5 @@ class _CoverPipeline:
                     stack.append(l)
         order = [m for m in self.order if m in chosen]
         area = sum(self.area[i] for i in chosen.values())
-        po_gate_nodes = [p >> 1 for p in ntk.pos if ntk.is_gate(p >> 1)]
-        lev: Dict[int, int] = {}
-        for m in order:
-            i = chosen[m]
-            lev[m] = self.delay[i] + max(
-                (lev.get(l, 0) for l in leaves_of[i]), default=0
-            )
-        depth_val = max((lev[m] for m in po_gate_nodes), default=0)
-        return MappingCover(
-            ntk=ntk,
-            selection={m: db.cut(i) for m, i in chosen.items()},
-            order=order,
-            depth=depth_val,
-            area=area,
-            po_literals=ntk.pos,
-            po_names=ntk.po_names,
-            pi_names=ntk.pi_names,
-            pi_nodes=ntk.pis,
-        )
+        return MappingCover(ntk=ntk, db=self.db, selection=chosen,
+                            order=order, area=area)

@@ -24,6 +24,7 @@ from ..core.choice import ChoiceNetwork
 from ..networks.base import LogicNetwork
 from ..synthesis.npn_db import NpnCostCache
 from ..synthesis.factoring import synthesize_tt
+from ..truth.truth_table import TruthTable
 from .engine import MappingSession, NpnCostModel, run_cover
 
 __all__ = ["graph_map"]
@@ -47,16 +48,19 @@ def graph_map(subject: Union[LogicNetwork, ChoiceNetwork, MappingSession],
         flow_iterations=flow_iterations, exact_iterations=exact_iterations,
     )
 
+    ntk, db = cover.ntk, cover.db
     target = target_cls()
     mapping: Dict[int, int] = {0: target.const0}
-    for name, n in zip(cover.pi_names, cover.pi_nodes):
+    for name, n in zip(ntk.pi_names, ntk.pis):
         mapping[n] = target.create_pi(name)
     for m in cover.order:
-        cut = cover.selection[m]
-        leaf_lits = [mapping[l] for l in cut.leaves]
-        method = cost_model.best(cut.tt)[0]
-        mapping[m] = synthesize_tt(target, cut.tt, leaf_lits, method=method)
-    for p, name in zip(cover.po_literals, cover.po_names):
+        i = cover.selection[m]
+        leaf_lits = [mapping[l] for l in db.leaves[i]]
+        num_vars, bits = db.tt_vars[i], db.function(i)
+        method = cost_model.best(num_vars, bits)[0]
+        mapping[m] = synthesize_tt(target, TruthTable(num_vars, bits), leaf_lits,
+                                   method=method)
+    for p, name in zip(ntk.pos, ntk.po_names):
         target.create_po(mapping[p >> 1] ^ (p & 1), name)
     return target
 

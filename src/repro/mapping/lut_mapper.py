@@ -28,6 +28,7 @@ from typing import Dict, Union
 from ..core.choice import ChoiceNetwork
 from ..networks.base import LogicNetwork
 from ..networks.lut_network import LutNetwork
+from ..truth.truth_table import TruthTable
 from .engine import (
     MappingCover,
     MappingSession,
@@ -55,15 +56,15 @@ def lut_map(subject: Subject, k: int = 6,
         exact_iterations=exact_iterations,
     )
 
+    ntk, db = cover.ntk, cover.db
     lut = LutNetwork(k)
     mapping: Dict[int, int] = {0: 0}
-    for name, n in zip(cover.pi_names, cover.pi_nodes):
+    for name, n in zip(ntk.pi_names, ntk.pis):
         mapping[n] = lut.create_pi(name)
     for m in cover.order:
-        cut = cover.selection[m]
-        fis = [mapping[l] for l in cut.leaves]
-        mapping[m] = lut.create_lut(fis, cut.tt)
-    for p, name in zip(cover.po_literals, cover.po_names):
-        node = p >> 1
-        lut.create_po(mapping[node], bool(p & 1), name)
+        i = cover.selection[m]
+        fis = [mapping[l] for l in db.leaves[i]]
+        mapping[m] = lut.create_lut(fis, TruthTable(db.tt_vars[i], db.function(i)))
+    for p, name in zip(ntk.pos, ntk.po_names):
+        lut.create_po(mapping[p >> 1], bool(p & 1), name)
     return lut

@@ -337,10 +337,6 @@ class LogicNetwork:
         self._touch()
         return lit(node)
 
-    def _require(self, gate: GateType) -> None:
-        if gate not in self.ALLOWED:
-            raise TypeError(f"{self.rep_name} networks do not allow {gate.name} gates")
-
     # -- native gates with normalization ----------------------------------
 
     def _and2(self, a: int, b: int) -> int:

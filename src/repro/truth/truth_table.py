@@ -114,10 +114,6 @@ class TruthTable:
         return cls(num_vars, var_mask(num_vars, var))
 
     @classmethod
-    def from_bits(cls, num_vars: int, bits: int) -> "TruthTable":
-        return cls(num_vars, bits)
-
-    @classmethod
     def from_binary_string(cls, s: str) -> "TruthTable":
         """Parse a binary string, most-significant minterm first.
 
@@ -211,9 +207,6 @@ class TruthTable:
     def to_hex(self) -> str:
         width = max(1, (1 << self.num_vars) // 4)
         return f"{self.bits:0{width}x}"
-
-    def to_binary_string(self) -> str:
-        return f"{self.bits:0{1 << self.num_vars}b}"
 
     # -- cofactors and support ---------------------------------------------
 

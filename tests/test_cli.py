@@ -129,6 +129,19 @@ class TestRunCommand:
         assert str(exc.value).startswith("flow failed:")
         assert "cut_limit" in str(exc.value)
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "adder", "--scale", "tiny", "--script", "mch -r nan; if"],
+        ["map-luts", "adder", "--scale", "tiny", "--mch", "--ratio", "nan"],
+        ["map-asic", "adder", "--scale", "tiny", "--mch", "--ratio", "inf"],
+    ], ids=["run", "map-luts", "map-asic"])
+    def test_non_finite_ratio_exits_with_message(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        lines = str(exc.value).splitlines()
+        assert len(lines) == 1 and lines[0].startswith("flow failed:"), lines
+        assert "finite float" in lines[0]
+        assert capsys.readouterr().out == ""
+
     def test_run_engine_stats(self, capsys):
         assert main(["run", "ctrl", "--scale", "tiny",
                      "--script", "b; gm", "--engine-stats"]) == 0

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.circuits import ALL_BENCHMARKS, build
 from repro.core import MchParams, build_mch
 from repro.cuts import (
-    Cut,
     CutDatabase,
     expand_cache_stats,
     expand_tt,
@@ -34,18 +33,24 @@ def check_cut_functions(ntk, db):
     vals = ntk.simulate_patterns(patterns, mask)
 
     for node in ntk.gates():
-        for cut in db.cuts(node):
-            assert len(cut.leaves) <= 6
+        for c in db.cuts(node):
+            leaves, bits = db.leaves[c], db.function(c)
+            assert len(leaves) <= 6
             # compose: cut tt applied to leaf global functions == node function
             got = 0
-            for m in range(1 << len(cut.leaves)):
-                if cut.tt.get_bit(m):
+            for m in range(1 << len(leaves)):
+                if (bits >> m) & 1:
                     term = mask
-                    for i, leaf in enumerate(cut.leaves):
+                    for i, leaf in enumerate(leaves):
                         lv = vals[leaf]
                         term &= lv if (m >> i) & 1 else (lv ^ mask)
                     got |= term
-            assert got == vals[node], f"cut {cut} of node {node} wrong"
+            assert got == vals[node], f"cut {c} {leaves} of node {node} wrong"
+
+
+def is_trivial(db, i):
+    """Cut ``i`` is its root's own single-leaf cut."""
+    return db.leaves[i] == (db.root[i],)
 
 
 def build_sample(cls):
@@ -78,13 +83,13 @@ class TestEnumeration:
         db = CutDatabase(ntk, k=4)
         pi = ntk.pis[0]
         assert len(db.cuts(pi)) == 1
-        assert db.cuts(pi)[0].leaves == (pi,)
+        assert db.leaves[db.cuts(pi)[0]] == (pi,)
 
     def test_every_gate_has_trivial_cut(self):
         ntk = build_sample(Aig)
         db = CutDatabase(ntk, k=4)
         for g in ntk.gates():
-            assert any(c.is_trivial() for c in db.cuts(g))
+            assert any(is_trivial(db, c) for c in db.cuts(g))
 
     def test_cut_functions_aig(self):
         ntk = build_sample(Aig)
@@ -100,7 +105,7 @@ class TestEnumeration:
             db = CutDatabase(ntk, k=k)
             for g in ntk.gates():
                 for c in db.cuts(g):
-                    assert len(c.leaves) <= k
+                    assert len(db.leaves[c]) <= k
 
     def test_cut_limit_respected(self):
         ntk = build_sample(MixedNetwork)
@@ -154,8 +159,8 @@ class TestTrivialCutInvariant:
                 db = CutDatabase(ntk, k=4, cut_limit=limit)
                 for g in ntk.gates():
                     cuts = db.cuts(g)
-                    assert cuts[-1].is_trivial(), f"{cls.__name__} node {g}"
-                    assert all(not c.is_trivial() for c in cuts[:-1])
+                    assert is_trivial(db, cuts[-1]), f"{cls.__name__} node {g}"
+                    assert all(not is_trivial(db, c) for c in cuts[:-1])
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=15, deadline=None)
@@ -177,7 +182,7 @@ class TestTrivialCutInvariant:
         db = CutDatabase(ntk, k=4, cut_limit=6)
         for g in ntk.gates():
             cuts = db.cuts(g)
-            assert cuts and cuts[-1].is_trivial()
+            assert cuts and is_trivial(db, cuts[-1])
 
 
 class TestCutDatabase:
@@ -218,14 +223,14 @@ class TestCutDatabase:
                     ref[node] = sets
             db = CutDatabase(ntk, k=k, cut_limit=64)
             for g in ntk.gates():
-                got = {frozenset(c.leaves) for c in db.cuts(g)}
+                got = {frozenset(db.leaves[c]) for c in db.cuts(g)}
                 assert got == ref[g], f"{cls.__name__} node {g}"
 
     def test_no_dominated_cut_survives(self):
         ntk = build_sample(MixedNetwork)
         db = CutDatabase(ntk, k=4, cut_limit=8)
         for g in ntk.gates():
-            cuts = [set(c.leaves) for c in db.cuts(g)[:-1]]  # minus trivial
+            cuts = [set(db.leaves[c]) for c in db.cuts(g)[:-1]]  # minus trivial
             for i, a in enumerate(cuts):
                 for j, b in enumerate(cuts):
                     assert i == j or not a < b, f"dominated cut kept at node {g}"
@@ -460,6 +465,26 @@ class TestFunctionsOnDemand:
         stats = session.cut_database(6, 8).stats
         assert 0 < stats["functions"] <= stats["cuts"] / 4, stats
 
+    @pytest.mark.parametrize("name", ["hyp", "adder", "cavlc"])
+    def test_mch_reads_few_functions(self, monkeypatch, name):
+        """``mch`` synthesizes from at most ``max_cuts_per_node`` cuts of a
+        node: it evaluates those functions, not every non-trivial one."""
+        import repro.core.mch as mch_module
+
+        built = []
+
+        class Recording(CutDatabase):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(mch_module, "CutDatabase", Recording)
+        build_mch(build(name, "tiny"), MchParams(representations=(Xmg,)))
+        (db,) = built
+        assert db.k == 4
+        stats = db.stats
+        assert stats["functions"] < stats["cuts"] - stats["nodes"], stats
+
 
 class TestExpandCacheBound:
     def test_stats_hook_counts(self):
@@ -471,17 +496,3 @@ class TestExpandCacheBound:
         assert set(after) == {"hits", "misses", "maxsize", "currsize"}
         assert 0 < after["currsize"] <= after["maxsize"]
 
-
-class TestCutObject:
-    def test_dominates(self):
-        c1 = Cut((1, 2), None, 5)
-        c2 = Cut((1, 2, 3), None, 5)
-        assert c1.dominates(c2)
-        assert not c2.dominates(c1)
-
-    def test_eq_hash(self):
-        a = Cut((1, 2), None, 5)
-        b = Cut((1, 2), None, 5)
-        assert a == b and hash(a) == hash(b)
-        c = Cut((1, 2), None, 5, phase=True)
-        assert a != c

@@ -5,6 +5,9 @@ ASIC, plain and choice-aware — must be combinationally equivalent
 (``sat.cec``) to the source network on the EPFL-style bundled circuits.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,8 @@ from repro.mapping import (
 from repro.mapping.asap7 import asap7_library
 from repro.networks import Aig, Xmg
 from repro.sat import cec
+from repro.synthesis.npn_db import NpnCostCache
+from repro.truth.truth_table import TruthTable
 
 CIRCUITS = ["adder", "ctrl", "int2float", "max", "router", "cavlc"]
 
@@ -44,6 +49,23 @@ class TestMappingSession:
         assert not s1.is_current()
         s2 = MappingSession.of(ntk)
         assert s2 is not s1
+
+    def test_session_freed_with_its_last_holder(self):
+        """The subject refers to its session weakly, so dropping a mapped
+        network and its session frees the cut databases at once, without
+        waiting for the cyclic garbage collector."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ntk = build("ctrl", "tiny")
+            session = MappingSession.of(ntk)
+            lut_map(session, k=4)
+            alive = weakref.ref(session)
+            del ntk, session
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_cut_database_shared_across_mappers(self):
         ntk = build("int2float", "tiny")
@@ -82,26 +104,33 @@ class TestCostModels:
         ntk = build("ctrl", "tiny")
         db = CutDatabase(ntk, k=4, cut_limit=6)
         cut = db.cuts(max(ntk.gates()))[0]
-        assert model.cut_cost(cut) == 1.0
-        assert model.cut_delay(cut) == 1
+        assert model.costs(db, cut) == (1.0, 1)
 
     def test_npn_cost_memoizes(self):
         model = NpnCostModel(Xmg, "area")
         ntk = build("ctrl", "tiny")
         db = CutDatabase(ntk, k=4, cut_limit=6)
         cut = db.cuts(max(ntk.gates()))[0]
-        first = model.cut_cost(cut)
-        assert model.cut_cost(cut) == first
-        assert (cut.tt.num_vars, cut.tt.bits) in model._memo
+        first = model.costs(db, cut)
+        assert model.costs(db, cut) == first
+        assert (db.tt_vars[cut], db.function(cut)) in model._memo
 
     @pytest.mark.parametrize("make", [UnitCostModel, lambda: NpnCostModel(Xmg, "area")],
                              ids=["unit", "npn"])
     def test_index_costs_match_cut_costs(self, make):
         model = make()
         db = CutDatabase(build("ctrl", "tiny"), k=4, cut_limit=6)
+        npn = NpnCostCache(Xmg)
         for i in range(db.num_cuts()):
-            cut = db.cut(i)
-            assert model.costs(db, i) == (model.cut_cost(cut), model.cut_delay(cut))
+            if isinstance(model, UnitCostModel):
+                want = (1.0, 1)
+            elif len(db.leaves[i]) <= 1:
+                want = (0.0, 0)
+            else:
+                tt = TruthTable(db.tt_vars[i], db.function(i))
+                _, gates, depth = npn.best_method(tt, "area")
+                want = (float(gates), max(depth, 1) if 0 < tt.bits < tt.mask else 0)
+            assert model.costs(db, i) == want
 
     def test_library_cost_model_shared(self):
         lib = asap7_library()
@@ -113,14 +142,15 @@ class TestCostModels:
         ntk = build("ctrl", "tiny")
         db = CutDatabase(ntk, k=4, cut_limit=6)
         cut = db.cuts(max(ntk.gates()))[0]
-        rows = model.rows(cut.tt.num_vars, cut.tt.bits)
-        assert model.rows(cut.tt.num_vars, cut.tt.bits) is rows and all(rows)
+        tt = TruthTable(db.tt_vars[cut], db.function(cut))
+        rows = model.rows(tt.num_vars, tt.bits)
+        assert model.rows(tt.num_vars, tt.bits) is rows and all(rows)
         # each row's pins index the cut's own variables: evaluating the
         # cell on them reproduces the function in that phase
         for phase, rows_of_phase in enumerate(rows):
-            want = cut.tt if phase == 0 else ~cut.tt
+            want = tt if phase == 0 else ~tt
             for cell, pins in rows_of_phase:
-                for x in range(1 << cut.tt.num_vars):
+                for x in range(1 << tt.num_vars):
                     args = 0
                     for i, (var, lp, _) in enumerate(pins):
                         args |= (((x >> var) & 1) ^ lp) << i

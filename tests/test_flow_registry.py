@@ -288,6 +288,16 @@ class TestStaticValidation:
         with pytest.raises(FlowScriptError):
             Flow.parse("2*( if -k 4 )").validate("logic")
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_float_argument_rejected(self, raw):
+        """A NaN critical-path ratio would mark no node critical and map
+        without complaint; the parser refuses any non-finite float."""
+        from repro.flow import Flow
+
+        with pytest.raises(FlowScriptError, match="expects finite float"):
+            Flow.parse(f"mch -r {raw}; if")
+        assert Flow.parse("mch -r 0.5; if").to_script() == "mch -r 0.5; if"
+
 
 class TestNestedContext:
     def test_dch_threads_the_outer_context(self):

@@ -37,7 +37,7 @@ class TestLutMapperOptions:
                           objective="area")
         # every selected cut's leaves must be covered or be PIs
         for node, cut in cover.selection.items():
-            for leaf in cut.leaves:
+            for leaf in cover.db.leaves[cut]:
                 assert ntk.is_pi(leaf) or leaf in cover.selection
         assert cover.area == pytest.approx(len(cover.selection))
 
@@ -89,4 +89,4 @@ class TestChoiceCutsDetails:
         a = CutDatabase(ntk, k=4, cut_limit=8)
         b = CutDatabase(ntk, k=4, cut_limit=8, order=list(range(ntk.num_nodes())))
         for n in ntk.nodes():
-            assert [c.leaves for c in a.cuts(n)] == [c.leaves for c in b.cuts(n)]
+            assert [a.leaves[c] for c in a.cuts(n)] == [b.leaves[c] for c in b.cuts(n)]

@@ -214,7 +214,7 @@ class TestCutMergingAlgorithm3:
                          order=ch.processing_order(), choices=ch.choices_of)
         merged = 0
         for rep in ch.choices_of:
-            merged += sum(1 for c in db.cuts(rep) if c.root != rep)
+            merged += sum(1 for c in db.cuts(rep) if db.root[c] != rep)
         assert merged > 0
 
     def test_merged_cut_functions_are_repr_functions(self):
@@ -230,14 +230,15 @@ class TestCutMergingAlgorithm3:
         patterns = [rng.getrandbits(width) for _ in range(mixed.num_pis())]
         vals = mixed.simulate_patterns(patterns, mask)
         for rep in list(ch.choices_of)[:20]:
-            for cut in db.cuts(rep):
-                if len(cut.leaves) < 2:
+            for c in db.cuts(rep):
+                leaves, bits = db.leaves[c], db.function(c)
+                if len(leaves) < 2:
                     continue
                 got = 0
-                for m in range(1 << len(cut.leaves)):
-                    if cut.tt.get_bit(m):
+                for m in range(1 << len(leaves)):
+                    if (bits >> m) & 1:
                         term = mask
-                        for i, leaf in enumerate(cut.leaves):
+                        for i, leaf in enumerate(leaves):
                             lv = vals[leaf]
                             term &= lv if (m >> i) & 1 else (lv ^ mask)
                         got |= term
