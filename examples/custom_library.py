@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Custom standard-cell libraries: genlib, supergates, load-aware timing.
+"""Custom standard-cell libraries: genlib, load-aware timing.
 
-Demonstrates the library-facing API: parse a genlib, extend it with
-two-level supergates, map with it, and compare the fixed-delay report with
-the load-aware STA.
+Demonstrates the library-facing API: parse a genlib, map with it, compare
+the mapper's fixed-delay report with the load-aware STA, and write the
+library back out as genlib text.
 
 Run:  python examples/custom_library.py
 """
@@ -11,7 +11,6 @@ Run:  python examples/custom_library.py
 from repro.analysis import format_stats, netlist_stats
 from repro.circuits import build
 from repro.mapping import asic_map, parse_genlib, write_genlib
-from repro.mapping.supergates import expand_with_supergates
 from repro.mapping.timing import critical_path, sta
 from repro.networks import Aig
 from repro.sat import cec
@@ -37,18 +36,11 @@ def main() -> None:
     print(format_stats(netlist_stats(netlist)))
     assert cec(circuit, netlist.to_logic_network(Aig))
 
-    # richer matching through supergates (cell pairs fused at match time)
-    big = expand_with_supergates(lib, max_pins=4)
-    print(f"\nwith supergates: {big}")
-    netlist_sg = asic_map(circuit, library=big, objective="delay")
-    print(format_stats(netlist_stats(netlist_sg)))
-    assert cec(circuit, netlist_sg.to_logic_network(Aig))
-
     # load-aware timing vs the mapper's fixed-delay model
-    arrivals = sta(netlist_sg)
-    worst = max(arrivals[p] for p in netlist_sg.pos)
-    path = critical_path(netlist_sg)
-    print(f"\nfixed-delay model: {netlist_sg.delay():.1f} ps")
+    arrivals = sta(netlist)
+    worst = max(arrivals[p] for p in netlist.pos)
+    path = critical_path(netlist)
+    print(f"\nfixed-delay model: {netlist.delay():.1f} ps")
     print(f"load-aware STA:    {worst:.1f} ps over {len(path)} nets")
 
     # the library round-trips through genlib text

@@ -13,6 +13,7 @@ set (area-oriented mode).
 
 from __future__ import annotations
 
+import math
 from typing import List, Set
 
 from ..networks.base import LogicNetwork
@@ -38,7 +39,13 @@ def node_heights(ntk: LogicNetwork) -> List[int]:
 
 
 def critical_nodes(ntk: LogicNetwork, ratio: float) -> Set[int]:
-    """Gate nodes lying on a PO-to-PI path of length >= ``ratio * depth``."""
+    """Gate nodes lying on a PO-to-PI path of length >= ``ratio * depth``.
+
+    Raises :class:`ValueError` for a ``ratio`` that is not finite: a NaN
+    threshold would mark no node critical without complaint.
+    """
+    if not math.isfinite(ratio):
+        raise ValueError(f"critical-path ratio must be finite, got {ratio!r}")
     depth = ntk.depth()
     if depth == 0:
         return set()

@@ -9,8 +9,9 @@ library cells) consume, and what MCH's multi-strategy resynthesis
 Priority-cut enumeration itself (Mishchenko et al., ICCAD'07) lives in
 :mod:`repro.cuts.database`: one flat
 :class:`~repro.cuts.database.CutDatabase` that merges cuts on local leaf
-masks and evaluates their functions on demand with :func:`_expand_bits`,
-shared by all mapper passes.
+masks and evaluates their functions on demand, shared by all mapper passes.
+It calls :func:`_expand_bits`, this module's one expansion routine, which
+works on raw truth-table bits.
 
 Expansion masks are memoized in one bounded :func:`functools.lru_cache`;
 :func:`expand_cache_stats` reports its ``cache_info()``.
@@ -19,14 +20,9 @@ Expansion masks are memoized in one bounded :func:`functools.lru_cache`;
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
-from ..truth.truth_table import TruthTable
-
-__all__ = [
-    "expand_tt",
-    "expand_cache_stats",
-]
+__all__ = ["expand_cache_stats"]
 
 
 @lru_cache(maxsize=8192)
@@ -49,7 +45,11 @@ def _expand_masks(positions: Tuple[int, ...], num_vars: int) -> Tuple[int, ...]:
 
 
 def _expand_bits(src_bits: int, positions: Tuple[int, ...], num_vars: int) -> int:
-    """Raw-int core of :func:`expand_tt`; ``positions`` must be a tuple."""
+    """Re-express the function ``src_bits`` over a larger variable set.
+
+    ``positions[i]`` (a tuple) gives the new index of old variable ``i``.
+    Returns raw bits over ``num_vars`` variables.
+    """
     masks = _expand_masks(positions, num_vars)
     bits = 0
     while src_bits:
@@ -57,15 +57,6 @@ def _expand_bits(src_bits: int, positions: Tuple[int, ...], num_vars: int) -> in
         bits |= masks[low.bit_length() - 1]
         src_bits ^= low
     return bits
-
-
-def expand_tt(tt: TruthTable, positions: Sequence[int], num_vars: int) -> int:
-    """Re-express ``tt`` over a larger variable set.
-
-    ``positions[i]`` gives the new index of old variable ``i``.  Returns raw
-    bits over ``num_vars`` variables.
-    """
-    return _expand_bits(tt.bits, tuple(positions), num_vars)
 
 
 def expand_cache_stats() -> Dict[str, int]:

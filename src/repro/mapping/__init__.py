@@ -16,7 +16,6 @@ from .library import Cell, Library, parse_genlib, write_genlib
 from .asap7 import asap7_library
 from .matcher import Match, MatchTable
 from .asic_mapper import AsicMapper, asic_map
-from .supergates import Supergate, expand_with_supergates
 from .timing import LinearLoadModel, critical_path, sta
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "MatchTable",
     "AsicMapper",
     "asic_map",
-    "Supergate",
-    "expand_with_supergates",
     "LinearLoadModel",
     "critical_path",
     "sta",

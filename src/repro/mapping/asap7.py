@@ -14,9 +14,8 @@ Absolute PPA is therefore *modeled*, not measured — the experiments compare
 mapping strategies against each other on the same library, so only the
 relative cost structure matters (see DESIGN.md §2).
 
-The 3-input XOR/XNOR and MAJ-inverted entries are provided as two-level
-*supergates* (pre-composed cell pairs) with accordingly scaled area/delay, as
-a supergate-enabled matcher (Mishchenko et al., 2005) would generate.
+The 3-input XOR3/XNOR3 cells are modeled as XOR2 cascades, not as
+supergates: they are ordinary cells with twice XOR2x1's area and delay.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ _CELLS = [
     ("XNOR2x1",  2, lambda a, b: a == b,                     0.189, (22.0, 22.0)),
     ("MAJx2",    3, lambda a, b, c: (a + b + c) >= 2,        0.216, (24.0, 24.0, 24.0)),
     ("MAJIx2",   3, lambda a, b, c: (a + b + c) < 2,         0.203, (22.0, 22.0, 22.0)),
-    # two-level supergates (XOR2 cascade) for the XOR3 family
+    # XOR3 family, modeled as an XOR2 cascade (twice XOR2x1's area and delay)
     ("XOR3xp5",  3, lambda a, b, c: (a + b + c) % 2 == 1,    0.378, (44.0, 44.0, 44.0)),
     ("XNOR3xp5", 3, lambda a, b, c: (a + b + c) % 2 == 0,    0.378, (44.0, 44.0, 44.0)),
 ]

@@ -416,12 +416,6 @@ class LogicNetwork:
             return self._maj3(a, b, 1)
         return lit_not(self.create_and(lit_not(a), lit_not(b)))
 
-    def create_nand(self, a: int, b: int) -> int:
-        return lit_not(self.create_and(a, b))
-
-    def create_nor(self, a: int, b: int) -> int:
-        return lit_not(self.create_or(a, b))
-
     def create_xor(self, a: int, b: int) -> int:
         if GateType.XOR in self.ALLOWED:
             return self._xor2(a, b)

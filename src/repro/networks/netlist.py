@@ -48,18 +48,6 @@ class CellNetlist:
             raise ValueError(f"{cell.name} needs {cell.num_pins} fanins")
         if any(f >= len(self._drivers) for f in fanin_nets):
             raise ValueError("fanin net does not exist")
-        # virtual supergates expand into their component instances
-        if getattr(cell, "outer", None) is not None:
-            m_in = cell.inner.num_pins
-            inner_net = self.add_cell(cell.inner, tuple(fanin_nets[:m_in]))
-            rest = list(fanin_nets[m_in:])
-            outer_pins = []
-            for pin in range(cell.outer.num_pins):
-                if pin == cell.position:
-                    outer_pins.append(inner_net)
-                else:
-                    outer_pins.append(rest.pop(0))
-            return self.add_cell(cell.outer, tuple(outer_pins))
         net = len(self._drivers)
         self._drivers.append((cell, tuple(fanin_nets)))
         self._is_pi.append(False)

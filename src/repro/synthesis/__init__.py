@@ -8,7 +8,6 @@ from .factoring import (
     synthesize_tt,
 )
 from .npn_db import NpnCostCache
-from .exact import build_exact, exact_gate_count, exact_synthesize
 from .strategies import (
     AREA_STRATEGY,
     LEVEL_STRATEGY,
@@ -24,9 +23,6 @@ __all__ = [
     "build_shannon",
     "synthesize_tt",
     "NpnCostCache",
-    "build_exact",
-    "exact_gate_count",
-    "exact_synthesize",
     "SynthesisStrategy",
     "StrategyLibrary",
     "LEVEL_STRATEGY",

@@ -84,32 +84,34 @@ def _combine_level_aware(ntk: LogicNetwork, op, lits: Sequence[int], unit: int) 
 def build_from_dsd(ntk: LogicNetwork, root: DsdNode, complemented: bool,
                    leaf_lits: Sequence[int], balanced: bool = True) -> int:
     """Materialize a DSD tree; returns the output literal."""
+    return _replay_dsd(ntk, root, leaf_lits, balanced) ^ int(complemented)
 
-    def rec(node: DsdNode) -> int:
-        if node.kind == "const":
-            return ntk.const1 if node.value else ntk.const0
-        if node.kind == "var":
-            return leaf_lits[node.var_index]
-        child_lits = [rec(ch) ^ int(c) for ch, c in node.children]
-        if node.kind == "and":
-            if balanced:
-                return _combine_level_aware(ntk, ntk.create_and, child_lits, ntk.const1)
-            return ntk.create_nary_and(child_lits, balanced=False)
-        if node.kind == "or":
-            if balanced:
-                return _combine_level_aware(ntk, ntk.create_or, child_lits, ntk.const0)
-            return ntk.create_nary_or(child_lits, balanced=False)
-        if node.kind == "xor":
-            if balanced:
-                return _combine_level_aware(ntk, ntk.create_xor, child_lits, ntk.const0)
-            return ntk.create_nary_xor(child_lits, balanced=False)
-        if node.kind == "maj":
-            return ntk.create_maj(*child_lits)
-        if node.kind == "mux":
-            return ntk.create_mux(*child_lits)
-        raise ValueError(f"unknown DSD node kind {node.kind}")
 
-    return rec(root) ^ int(complemented)
+def _replay_dsd(ntk: LogicNetwork, node: DsdNode, leaf_lits: Sequence[int],
+                balanced: bool) -> int:
+    if node.kind == "const":
+        return ntk.const1 if node.value else ntk.const0
+    if node.kind == "var":
+        return leaf_lits[node.var_index]
+    child_lits = [_replay_dsd(ntk, ch, leaf_lits, balanced) ^ int(c)
+                  for ch, c in node.children]
+    if node.kind == "and":
+        if balanced:
+            return _combine_level_aware(ntk, ntk.create_and, child_lits, ntk.const1)
+        return ntk.create_nary_and(child_lits, balanced=False)
+    if node.kind == "or":
+        if balanced:
+            return _combine_level_aware(ntk, ntk.create_or, child_lits, ntk.const0)
+        return ntk.create_nary_or(child_lits, balanced=False)
+    if node.kind == "xor":
+        if balanced:
+            return _combine_level_aware(ntk, ntk.create_xor, child_lits, ntk.const0)
+        return ntk.create_nary_xor(child_lits, balanced=False)
+    if node.kind == "maj":
+        return ntk.create_maj(*child_lits)
+    if node.kind == "mux":
+        return ntk.create_mux(*child_lits)
+    raise ValueError(f"unknown DSD node kind {node.kind}")
 
 
 # ---------------------------------------------------------------------- #
@@ -163,34 +165,34 @@ def _cube_lits(cube: Cube) -> tuple:
     return tuple((v, int(neg)) for v, neg in cube_literals(cube))
 
 
-def _replay_factored(ntk: LogicNetwork, plan: tuple, leaf_lits: Sequence[int],
+def _replay_factored(ntk: LogicNetwork, node: tuple, leaf_lits: Sequence[int],
                      balanced: bool) -> int:
-    def cube_and(cube: tuple) -> int:
-        lits = [leaf_lits[v] ^ neg for v, neg in cube]
-        if not lits:
-            return ntk.const1
+    kind = node[0]
+    if kind == "div":
+        _, var, neg, quot, rem = node
+        factored = ntk.create_and(leaf_lits[var] ^ neg,
+                                  _replay_factored(ntk, quot, leaf_lits, balanced))
+        if rem is None:
+            return factored
+        return ntk.create_or(factored, _replay_factored(ntk, rem, leaf_lits, balanced))
+    if kind == "and":
+        return _cube_and(ntk, node[1], leaf_lits, balanced)
+    if kind == "or":
+        terms = [_cube_and(ntk, c, leaf_lits, balanced) for c in node[1]]
         if balanced:
-            return _combine_level_aware(ntk, ntk.create_and, lits, ntk.const1)
-        return ntk.create_nary_and(lits, balanced=True)
+            return _combine_level_aware(ntk, ntk.create_or, terms, ntk.const0)
+        return ntk.create_nary_or(terms, balanced=True)
+    return ntk.const0
 
-    def rec(node: tuple) -> int:
-        kind = node[0]
-        if kind == "div":
-            _, var, neg, quot, rem = node
-            factored = ntk.create_and(leaf_lits[var] ^ neg, rec(quot))
-            if rem is None:
-                return factored
-            return ntk.create_or(factored, rec(rem))
-        if kind == "and":
-            return cube_and(node[1])
-        if kind == "or":
-            terms = [cube_and(c) for c in node[1]]
-            if balanced:
-                return _combine_level_aware(ntk, ntk.create_or, terms, ntk.const0)
-            return ntk.create_nary_or(terms, balanced=True)
-        return ntk.const0
 
-    return rec(plan)
+def _cube_and(ntk: LogicNetwork, cube: tuple, leaf_lits: Sequence[int],
+              balanced: bool) -> int:
+    lits = [leaf_lits[v] ^ neg for v, neg in cube]
+    if not lits:
+        return ntk.const1
+    if balanced:
+        return _combine_level_aware(ntk, ntk.create_and, lits, ntk.const1)
+    return ntk.create_nary_and(lits, balanced=True)
 
 
 def build_from_cubes(ntk: LogicNetwork, cubes: List[Cube], leaf_lits: Sequence[int],

@@ -11,11 +11,8 @@ from hypothesis import strategies as st
 
 from repro.circuits import ALL_BENCHMARKS, build
 from repro.core import MchParams, build_mch
-from repro.cuts import (
-    CutDatabase,
-    expand_cache_stats,
-    expand_tt,
-)
+from repro.cuts import CutDatabase, expand_cache_stats
+from repro.cuts.enumeration import _expand_bits
 from repro.mapping import MappingSession, asic_map, graph_map, lut_map
 from repro.networks import Aig, MixedNetwork, Xmg
 from repro.flow import run_flow
@@ -69,11 +66,11 @@ def build_sample(cls):
 class TestExpand:
     def test_expand_identity(self):
         tt = TruthTable.from_hex(2, "8")
-        assert expand_tt(tt, [0, 1], 2) == tt.bits
+        assert _expand_bits(tt.bits, (0, 1), 2) == tt.bits
 
     def test_expand_shift(self):
         tt = TruthTable.var(1, 0)
-        bits = expand_tt(tt, [2], 3)
+        bits = _expand_bits(tt.bits, (2,), 3)
         assert bits == TruthTable.var(3, 2).bits
 
 

@@ -104,6 +104,14 @@ class TestCriticalNodes:
         assert (shallow >> 1) not in crit
         assert (deep >> 1) in crit
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_ratio_rejected(self, ratio):
+        ntk, _ = chain_aig()
+        with pytest.raises(ValueError, match="finite"):
+            critical_nodes(ntk, ratio)
+        with pytest.raises(ValueError, match="finite"):
+            build_mch(build("adder", "tiny"), MchParams(ratio=ratio))
+
     def test_lower_ratio_superset(self):
         ntk = build("max", "tiny")
         high = critical_nodes(ntk, 1.0)

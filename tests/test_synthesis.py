@@ -1,6 +1,8 @@
 """Tests for structure builders, NPN cost cache and the strategy library."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,24 @@ class TestSynthesizeTt:
         a = ntk.create_pi()
         with pytest.raises(ValueError):
             synthesize_tt(ntk, TruthTable.var(2, 0), [a], method="sop")
+
+    @pytest.mark.parametrize("method", SYNTHESIS_METHODS)
+    def test_replay_leaves_no_reference_cycle(self, method):
+        """A replay holds its target network only while it runs: with the
+        cyclic collector off, dropping the network frees it at once."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ntk = Aig()
+            leaves = [ntk.create_pi() for _ in range(4)]
+            ntk.create_po(synthesize_tt(ntk, TruthTable.from_hex(4, "e8a1"), leaves,
+                                        method=method))
+            ref = weakref.ref(ntk)
+            del ntk
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_unknown_method(self):
         ntk = Aig()
