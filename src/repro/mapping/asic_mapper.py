@@ -17,10 +17,11 @@ Cuts are read by index straight from the flat arrays of the shared
 of leaf tuples and raw functions), and Boolean matching runs through
 :class:`~repro.mapping.engine.LibraryCostModel`, which memoizes the match rows
 of every distinct cut function: each row is a cell plus its pins indexed into
-the cut's full leaf tuple, so every covering pass selects straight from the
-rows and builds an implementation record only for the winner.  Repeated
-mappings of the same subject (or the same library) share all the expensive
-precomputation.
+the cut's full leaf tuple.  A run reads each usable cut's rows once into a
+column indexed by cut, every covering pass selects straight from that column,
+and a (node, phase) is implemented by the ``(cell, leaves, pins)`` row it
+selected.  Repeated mappings of the same subject (or the same library) share
+all the expensive precomputation.
 
 The covering loop is this module's own rather than
 :func:`~repro.mapping.engine.run_cover`: it covers two phases per node, relaxes
@@ -33,13 +34,12 @@ deep cover needs no interpreter frame per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.choice import ChoiceNetwork
 from ..networks.base import LogicNetwork
 from ..networks.netlist import CellNetlist
-from .library import Cell, Library
+from .library import Library
 from .asap7 import asap7_library
 from .engine import MappingSession, library_cost_model
 
@@ -48,34 +48,31 @@ __all__ = ["AsicMapper", "asic_map"]
 INF = float("inf")
 
 
-@dataclass
-class _Impl:
-    """Chosen implementation of one (node, phase).
-
-    Input ``i`` of the cell is ``leaves[pins[i][0]]`` in phase ``pins[i][1]``,
-    reached with pin delay ``pins[i][2]``.
-    """
-
-    kind: str                                    # "match", "inv" or "const"
-    cell: Optional[Cell] = None                  # None for kind == "const"
-    leaves: Sequence[int] = ()                   # the cut's full leaf tuple
-    pins: Sequence[Tuple[int, int, float]] = ()  # (variable, leaf phase, delay)
-    value: bool = False                          # for kind == "const"
-
-
 class AsicMapper:
-    """Cut-based Boolean-matching mapper onto a standard-cell library."""
+    """Cut-based Boolean-matching mapper onto a standard-cell library.
+
+    The implementation of a (node, phase) is a ``(cell, leaves, pins)``
+    tuple: input ``j`` of ``cell`` is ``leaves[pins[j][0]]`` in phase
+    ``pins[j][1]``, reached with pin delay ``pins[j][2]``.  An inverter is
+    ``(inv, (node,), ((0, 1 - phase, inv_delay),))``, the only
+    implementation whose leaves are the node itself (a node's trivial cut is
+    never matched).  A constant phase is ``(None, value, ())``: no cell and
+    no pins.
+    """
 
     def __init__(self, subject: Union[LogicNetwork, ChoiceNetwork, MappingSession],
                  library: Optional[Library] = None, objective: str = "delay",
                  cut_limit: int = 8, flow_iterations: int = 2,
                  exact_iterations: int = 2):
+        self.lib = library or asap7_library()
+        if self.lib.max_pins < 2:
+            raise ValueError(f"library {self.lib.name!r} has no cell with two or more "
+                             "inputs; am needs one to match cuts")
         self.session = MappingSession.of(subject)
         self.ntk = self.session.ntk
         self.order = self.session.order()
         if objective not in ("delay", "area"):
             raise ValueError("objective must be 'delay' or 'area'")
-        self.lib = library or asap7_library()
         self.objective = objective
         self.costs = library_cost_model(self.lib)
         self.cut_limit = cut_limit
@@ -89,18 +86,29 @@ class AsicMapper:
         ntk = self.ntk
         n = ntk.num_nodes()
         db = self.session.cut_database(self.costs.max_pins, self.cut_limit)
-        self.db, self.bits = db, db.tt_bits
         gate_nodes = self.session.gate_nodes()
+        spans, leaves_of = db.spans, db.leaves
+
+        # The match rows of every usable cut, read once and shared by every
+        # pass: each cut of a gate's span except the gate's own trivial cut,
+        # whose slot keeps no rows in either phase.
+        cut_rows: List[tuple] = [((), ())] * db.num_cuts()
+        rows, vars_of, bits = self.costs.rows, db.tt_vars, db.tt_bits
+        for m in gate_nodes:
+            for i in range(*spans[m]):
+                leaves = leaves_of[i]
+                if len(leaves) != 1 or leaves[0] != m:
+                    cut_rows[i] = rows(vars_of[i], bits[i])
 
         arrival = [[INF, INF] for _ in range(n)]
         flow = [[INF, INF] for _ in range(n)]
-        impl: List[List[Optional[_Impl]]] = [[None, None] for _ in range(n)]
-        inv_d, inv_a = self.inv.max_delay(), self.inv.area
+        impl: List[List[Optional[tuple]]] = [[None, None] for _ in range(n)]
+        inv, inv_d, inv_a = self.inv, self.inv.max_delay(), self.inv.area
 
         for pi in ntk.pis:
             arrival[pi][0], flow[pi][0] = 0.0, 0.0
             arrival[pi][1], flow[pi][1] = inv_d, inv_a
-            impl[pi][1] = self._inverter(pi, 1)
+            impl[pi][1] = (inv, (pi,), ((0, 0, inv_d),))
 
         # Initial fanout estimate from PO-reachable structure only, so choice
         # candidate cones do not inflate sharing estimates.
@@ -111,26 +119,27 @@ class AsicMapper:
             """(Re)select the best implementation of both phases of node m."""
             for phase in (0, 1):
                 best = None
-                for cell, leaves, pins in self._rows(m, phase):
-                    arr = fl = 0.0
-                    if cell is not None:
-                        fl = cell.area
-                        for var, lp, d in pins:
-                            leaf = leaves[var]
-                            a = arrival[leaf][lp] + d
-                            if a > arr:
-                                arr = a
-                            fl += flow[leaf][lp] / refs[leaf]
-                        if arr == INF or (required is not None
-                                          and arr > required[m][phase] + 1e-9):
-                            continue
-                    key = (arr, fl) if delay_first else (fl, arr)
-                    if best is None or key < best_key:
-                        best, best_key, best_arr, best_fl = (cell, leaves, pins), key, arr, fl
+                for i in range(*spans[m]):
+                    leaves = leaves_of[i]
+                    for cell, pins in cut_rows[i][phase]:
+                        arr = fl = 0.0
+                        if cell is not None:
+                            fl = cell.area
+                            for var, lp, d in pins:
+                                leaf = leaves[var]
+                                a = arrival[leaf][lp] + d
+                                if a > arr:
+                                    arr = a
+                                fl += flow[leaf][lp] / refs[leaf]
+                            if arr == INF or (required is not None
+                                              and arr > required[m][phase] + 1e-9):
+                                continue
+                        key = (arr, fl) if delay_first else (fl, arr)
+                        if best is None or key < best_key:
+                            best, best_key, best_arr, best_fl = (cell, leaves, pins), key, arr, fl
                 if best is not None:
-                    cell, leaves, pins = best
-                    impl[m][phase] = (_Impl("const", value=pins) if cell is None
-                                      else _Impl("match", cell, leaves, pins))
+                    # a constant row's pins slot holds its value
+                    impl[m][phase] = best if best[0] is not None else (None, best[2], ())
                     arrival[m][phase], flow[m][phase] = best_arr, best_fl
                 elif impl[m][phase] is None:
                     arrival[m][phase] = flow[m][phase] = INF
@@ -151,9 +160,9 @@ class AsicMapper:
                 new = (via_arr, via_fl) if delay_first else (via_fl, via_arr)
                 if impl[m][phase] is None or new < cur:
                     # never let both phases be inverters of each other
-                    if impl[m][o] is not None and impl[m][o].kind == "inv":
+                    if impl[m][o] is not None and impl[m][o][1] == (m,):
                         continue
-                    impl[m][phase] = self._inverter(m, phase)
+                    impl[m][phase] = (inv, (m,), ((0, o, inv_d),))
                     arrival[m][phase] = via_arr
                     flow[m][phase] = via_fl
 
@@ -174,31 +183,10 @@ class AsicMapper:
 
         # ---- exact local area recovery ----
         for _ in range(self.exact_iterations):
-            self._exact_area_pass(gate_nodes, arrival, impl, required)
+            self._exact_area_pass(gate_nodes, db, cut_rows, arrival, impl, required)
             required = self._compute_required(arrival, impl)
 
         return self._derive(impl)
-
-    def _rows(self, m: int, phase: int) -> Iterator[tuple]:
-        """``(cell, leaves, pins)`` candidates of (m, phase): the cuts of m's
-        span in the database in order, skipping its trivial cut, and each
-        cut's memoized match rows in order.  ``pins`` index ``leaves``; a
-        ``None`` cell marks a phase that is constant (a zero-cost tie) and
-        ``pins`` is its value."""
-        rows = self.costs.rows
-        db, bits = self.db, self.bits
-        leaves_of, vars_of = db.leaves, db.tt_vars
-        start, end = db.spans[m]
-        for i in range(start, end):
-            leaves = leaves_of[i]
-            if len(leaves) == 1 and leaves[0] == m:
-                continue
-            for cell, pins in rows(vars_of[i], bits[i])[phase]:
-                yield cell, leaves, pins
-
-    def _inverter(self, node: int, phase: int) -> _Impl:
-        """(node, phase) as an inverter driven by the opposite phase."""
-        return _Impl("inv", self.inv, (node,), ((0, 1 - phase, self.inv.max_delay()),))
 
     # -- exact-area machinery -------------------------------------------------
 
@@ -216,19 +204,13 @@ class AsicMapper:
             im = impl[node][phase]
             if not ntk.is_gate(node) or im is None:
                 continue
-            for var, lp, _ in im.pins:
-                leaf = im.leaves[var]
+            _, leaves, pins = im
+            for var, lp, _ in pins:
+                leaf = leaves[var]
                 refs[leaf][lp] += 1
                 if refs[leaf][lp] == 1:
                     stack.append((leaf, lp))
         return refs
-
-    def _area_of(self, node: int, phase: int, impl) -> float:
-        """Cell area charged when (node, phase) first becomes referenced."""
-        im = impl[node][phase]
-        if im is None:  # a constant, a PI's true phase or an unmapped gate
-            return INF if self.ntk.is_gate(node) else 0.0
-        return 0.0 if im.cell is None else im.cell.area
 
     def _walk(self, node: int, phase: int, refs, impl, delta: int) -> float:
         """Reference (``delta=1``) or dereference (``delta=-1``) the inputs of
@@ -243,8 +225,8 @@ class AsicMapper:
         """
         is_gate = self.ntk.is_gate
         hit = 1 if delta > 0 else 0
-        im = impl[node][phase]
-        leaves, pins, i, own, acc = im.leaves, im.pins, 0, 0.0, 0.0
+        _, leaves, pins = impl[node][phase]
+        i, own, acc = 0, 0.0, 0.0
         stack = []
         while True:
             if i < len(pins):
@@ -254,13 +236,13 @@ class AsicMapper:
                 refs[leaf][lp] += delta
                 if refs[leaf][lp] != hit:
                     continue
-                area = self._area_of(leaf, lp, impl)
+                child = impl[leaf][lp]
                 if is_gate(leaf):
                     stack.append((leaves, pins, i, own, acc))
-                    child = impl[leaf][lp]
-                    leaves, pins, i, own, acc = child.leaves, child.pins, 0, area, 0.0
-                else:
-                    acc += area
+                    cell, leaves, pins = child
+                    i, own, acc = 0, 0.0 if cell is None else cell.area, 0.0
+                else:  # a PI's inverted phase is charged its inverter
+                    acc += 0.0 if child is None else child[0].area
             elif stack:
                 total = own + acc
                 leaves, pins, i, own, acc = stack.pop()
@@ -268,40 +250,43 @@ class AsicMapper:
             else:
                 return acc
 
-    def _trial_area(self, m: int, phase: int, im: _Impl, refs, impl) -> float:
+    def _trial_area(self, m: int, phase: int, im: tuple, refs, impl) -> float:
         """Area ``im`` would materialize at (m, phase): its cell plus the
         inputs it newly references.  Leaves ``im`` installed at (m, phase)."""
         impl[m][phase] = im
-        area = im.cell.area + self._walk(m, phase, refs, impl, 1)
+        area = im[0].area + self._walk(m, phase, refs, impl, 1)
         self._walk(m, phase, refs, impl, -1)
         return area
 
-    def _exact_area_pass(self, gate_nodes, arrival, impl, required) -> None:
+    def _exact_area_pass(self, gate_nodes, db, cut_rows, arrival, impl, required) -> None:
         """Re-select implementations by exact local area under required times."""
         refs = self._phase_refs(impl)
+        spans, leaves_of = db.spans, db.leaves
         for m in gate_nodes:
             for phase in (0, 1):
                 old = impl[m][phase]
-                if refs[m][phase] == 0 or old is None or old.kind != "match":
-                    continue  # inverters re-decide through their base phase
+                if refs[m][phase] == 0 or old is None or old[0] is None or old[1] == (m,):
+                    continue  # constants stay; inverters re-decide through their base phase
                 # release the current implementation's input charges
                 self._walk(m, phase, refs, impl, -1)
                 best, best_arr = old, arrival[m][phase]
                 best_key = (self._trial_area(m, phase, old, refs, impl), best_arr)
-                for cell, leaves, pins in self._rows(m, phase):
-                    if cell is None:
-                        continue
-                    arr = 0.0
-                    for var, lp, d in pins:
-                        a = arrival[leaves[var]][lp] + d
-                        if a > arr:
-                            arr = a
-                    if arr == INF or arr > required[m][phase] + 1e-9:
-                        continue
-                    im = _Impl("match", cell, leaves, pins)
-                    key = (self._trial_area(m, phase, im, refs, impl), arr)
-                    if key < best_key:
-                        best, best_key, best_arr = im, key, arr
+                for i in range(*spans[m]):
+                    leaves = leaves_of[i]
+                    for cell, pins in cut_rows[i][phase]:
+                        if cell is None:
+                            continue
+                        arr = 0.0
+                        for var, lp, d in pins:
+                            a = arrival[leaves[var]][lp] + d
+                            if a > arr:
+                                arr = a
+                        if arr == INF or arr > required[m][phase] + 1e-9:
+                            continue
+                        im = (cell, leaves, pins)
+                        key = (self._trial_area(m, phase, im, refs, impl), arr)
+                        if key < best_key:
+                            best, best_key, best_arr = im, key, arr
                 impl[m][phase] = best
                 arrival[m][phase] = best_arr
                 self._walk(m, phase, refs, impl, 1)
@@ -337,8 +322,9 @@ class AsicMapper:
                 im = impl[m][phase]
                 if req == INF or im is None:
                     continue
-                for var, lp, d in im.pins:
-                    leaf = im.leaves[var]
+                _, leaves, pins = im
+                for var, lp, d in pins:
+                    leaf = leaves[var]
                     required[leaf][lp] = min(required[leaf][lp], req - d)
         return required
 
@@ -361,15 +347,16 @@ class AsicMapper:
                 im = impl[key[0]][key[1]]
                 if im is None:
                     raise RuntimeError(f"phase {key[1]} of node {key[0]} not implemented")
-                if im.kind == "const":
-                    net_of[key] = netlist.const1 if im.value else netlist.const0
+                cell, leaves, pins = im
+                if cell is None:  # a constant phase: leaves holds its value
+                    net_of[key] = netlist.const1 if leaves else netlist.const0
                     continue
-                inputs = [(im.leaves[var], lp) for var, lp, _ in im.pins]
+                inputs = [(leaves[var], lp) for var, lp, _ in pins]
                 missing = next((k for k in inputs if k not in net_of), None)
                 if missing is not None:
                     stack.append(missing)
                 else:
-                    net_of[key] = netlist.add_cell(im.cell, tuple(net_of[k] for k in inputs))
+                    net_of[key] = netlist.add_cell(cell, tuple(net_of[k] for k in inputs))
             netlist.create_po(net_of[root], name)
         return netlist
 

@@ -263,7 +263,7 @@ class LibraryCostModel:
     library and memoizes, per distinct cut function, the phase-resolved
     match rows the phase-aware mapper selects from (:meth:`rows`): the
     min-base reduction and library lookup of both polarities run once per
-    function rather than once per (cut, phase, pass) triple.  The memo is
+    function.  The memo is
     bounded by the number of distinct functions of at most ``max_pins``
     (``min(4, library.max_pins)``) inputs, not by network size.
     """
@@ -303,11 +303,13 @@ class LibraryCostModel:
         return tuple((match.cell, tuple((sup[v], lp, d) for v, lp, d in match.pins))
                      for match in self.matches(small))
 
+    # A named method: perfbench's mapping.match layer times it and TestMatchRowsMemo counts it.
     def min_base(self, tt: TruthTable) -> Tuple[TruthTable, Tuple[int, ...]]:
         """``tt.min_base()`` — (support-reduced tt, support vars)."""
         small, sup = tt.min_base()
         return small, tuple(sup)
 
+    # A named method: perfbench's mapping.match layer times it and TestMatchRowsMemo counts it.
     def matches(self, small: TruthTable):
         """Library matches realizing exactly ``small`` (same polarity)."""
         return self.table.lookup(small)

@@ -189,6 +189,16 @@ class TestAsicMapper:
         v = write_verilog_netlist(nl)
         assert v.startswith("module top") and v.rstrip().endswith("endmodule")
 
+    def test_one_input_library_rejected(self):
+        """A library whose widest cell has one input can match no cut; the
+        mapper says so instead of failing inside the cut database."""
+        lib = parse_genlib(
+            "GATE INV 1.0 O=!A; PIN * INV 1 999 8.0 0.0 8.0 0.0\n"
+            "GATE BUF 1.0 O=A;  PIN * NONINV 1 999 9.0 0.0 9.0 0.0\n",
+            name="inv_buf")
+        with pytest.raises(ValueError, match=r"'inv_buf'.*two or more inputs"):
+            asic_map(build("adder", "tiny"), library=lib)
+
 
 def netlist_digest(nl) -> str:
     """sha256 of every cell instance (cell name, fanin nets) plus the POs."""
@@ -303,3 +313,22 @@ class TestMatchRowsMemo:
         plain, other = library_cost_model(asap7), library_cost_model(minimal)
         assert plain is not other and plain._rows is not other._rows
         assert other.stats()["rows_memo"] > 0
+
+    def test_rows_read_once_per_cut(self, monkeypatch):
+        """One mapping reads each usable cut's match rows once, not once per
+        pass and phase."""
+        calls = [0]
+        orig = LibraryCostModel.rows
+
+        def counted(self, num_vars, bits):
+            calls[0] += 1
+            return orig(self, num_vars, bits)
+
+        choices = run_flow(build("int2float", "tiny"), self.SCRIPT).network
+        session = MappingSession.of(choices)
+        db = session.cut_database(4, 8)
+        usable = sum(1 for m in session.gate_nodes() for i in range(*db.spans[m])
+                     if db.leaves[i] != (m,))
+        monkeypatch.setattr(LibraryCostModel, "rows", counted)
+        asic_map(session)
+        assert calls[0] == usable
